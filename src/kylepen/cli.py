@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+FIGURE_FLOORS = (0.0, 0.02, 0.05, 0.07)  # expected-fine floors of the frontier figures
+
 
 # ----------------------------------------------------------------------
 # helpers
@@ -166,13 +168,8 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _frontier_rows(f_min: float, grid: int):
-    pts = fmin_efficient_frontier(f_min, grid=grid)
-    return [(g, s, v1, v2, f) for g, s, v1, v2, f in pts]
-
-
 def _cmd_frontier(args) -> int:
-    rows = _frontier_rows(args.fmin, args.grid)
+    rows = fmin_efficient_frontier(args.fmin, grid=args.grid)
     out = _out_dir(args)
     _write_csv(out / "frontier.csv", ["G", "S", "v1", "v2", "F"], rows)
     return EXIT_OK
@@ -345,36 +342,34 @@ def _cmd_figures(args) -> int:
     )
     produced.append("penalty_family_locus")
 
-    # constrained frontiers and their generators
-    sub = out / "constrained_frontiers"
-    sub.mkdir(parents=True, exist_ok=True)
-    for f_min in (0.0, 0.02, 0.05, 0.07):
-        rows = _frontier_rows(f_min, args.grid)
+    # constrained frontiers and their generators: one frontier per floor,
+    # dropped before the next, so that no frontier outlives its two files
+    frontier_dir = out / "constrained_frontiers"
+    index_dir = out / "index_curves"
+    frontier_dir.mkdir(parents=True, exist_ok=True)
+    index_dir.mkdir(parents=True, exist_ok=True)
+    for f_min in FIGURE_FLOORS:
+        rows = fmin_efficient_frontier(f_min, grid=args.grid)
         _write_csv(
-            sub / f"frontier_fmin_{f_min:.2f}.csv",
+            frontier_dir / f"frontier_fmin_{f_min:.2f}.csv",
             ["G", "S", "v1", "v2", "F"],
             rows,
         )
-    _write_json(
-        sub / "manifest.json",
-        {
-            "figure": "efficient (|G|, S) frontiers under expected-fine floors",
-            "f_min_values": [0.0, 0.02, 0.05, 0.07],
-        },
-    )
-    produced.append("constrained_frontiers")
-
-    sub = out / "index_curves"
-    sub.mkdir(parents=True, exist_ok=True)
-    for f_min in (0.0, 0.02, 0.05, 0.07):
-        rows = _frontier_rows(f_min, args.grid)
         _write_csv(
-            sub / f"indices_fmin_{f_min:.2f}.csv",
+            index_dir / f"indices_fmin_{f_min:.2f}.csv",
             ["abs_G", "v1", "v2"],
             [(-g, v1, v2) for g, s, v1, v2, f in rows],
         )
     _write_json(
-        sub / "manifest.json",
+        frontier_dir / "manifest.json",
+        {
+            "figure": "efficient (|G|, S) frontiers under expected-fine floors",
+            "f_min_values": list(FIGURE_FLOORS),
+        },
+    )
+    produced.append("constrained_frontiers")
+    _write_json(
+        index_dir / "manifest.json",
         {"figure": "generator indices (v1, v2) along the constrained frontiers"},
     )
     produced.append("index_curves")

@@ -293,7 +293,8 @@ class PriceFunction:
         with duplicated rows at price jumps."""
         xm = self.x_max
         lo, hi = -(1.0 + xm) - 0.25, 1.0 + xm + 0.25
-        rows = [(d, self.evaluate(d)) for d in np.linspace(lo, hi, n)]
+        ds = np.linspace(lo, hi, n)
+        rows = list(zip(ds.tolist(), self.evaluate(ds).tolist()))
         for d in self.jump_points():
             rows.append((d, self.evaluate_limit(d, "-")))
             rows.append((d, self.evaluate_limit(d, "+")))

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
+from .metrics import SQRT3
 from .schedules import DemandSchedule
-
-SQRT3 = np.sqrt(3.0)
 
 MAX_EXPECTED_FINE = 1.0 / 12.0  # global maximum of F over the surface
 
@@ -154,13 +153,11 @@ def fmin_efficient_frontier(f_min: float, grid: int = 400):
         raise InfeasibleError("no surface point satisfies the fine floor")
     v1, v2, g, s, f = (a[keep] for a in (v1, v2, g, s, f))
     order = np.lexsort((s, -g))  # G descending, S ascending within ties
-    out = []
-    best_s = np.inf
-    for i in order:
-        if s[i] < best_s - 1e-15:
-            out.append((float(g[i]), float(s[i]), float(v1[i]), float(v2[i]), float(f[i])))
-            best_s = s[i]
-    return out
+    # keep a point only if its S is below every S seen before it by more than 1e-15
+    s_sorted = s[order]
+    best_before = np.concatenate(([np.inf], np.minimum.accumulate(s_sorted)[:-1]))
+    kept = order[s_sorted < best_before - 1e-15]
+    return list(zip(*(a[kept].tolist() for a in (g, s, v1, v2, f))))
 
 
 def quadratic_upper_boundary(S: float) -> float:

@@ -10,6 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -54,9 +55,6 @@ class Penalty:
         arr = np.asarray(x, dtype=float)
         out = self._value_pos(np.abs(arr))
         return float(out) if arr.ndim == 0 else out
-
-    def is_closed_form(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -273,9 +271,6 @@ class TabulatedPenalty(Penalty):
         out = self._value_pos(np.minimum(arr, 1.0))
         return float(out) if np.ndim(x) == 0 else out
 
-    def is_closed_form(self):
-        return False
-
     def to_json(self):
         pts = []
         for x, l, r in zip(self.xs, self.left, self.right):
@@ -286,30 +281,53 @@ class TabulatedPenalty(Penalty):
         return {"kind": "tabulated", "points": pts}
 
 
+# kind -> (constructor, required keys in argument order)
 _KINDS = {
-    "zero": lambda d: ZeroPenalty(),
-    "constant_nonzero": lambda d: ConstantNonzeroPenalty(d["K"]),
-    "constant_above": lambda d: ConstantAbovePenalty(d["K"], d["x0"]),
-    "linear": lambda d: LinearPenalty(d["alpha"]),
-    "quadratic": lambda d: QuadraticPenalty(d["alpha"]),
-    "optimal_canonical": lambda d: OptimalCanonicalPenalty(d["K"]),
-    "surface": lambda d: SurfaceOptimalPenalty(d["v1"], d["v2"]),
-    "tabulated": lambda d: TabulatedPenalty(d["points"]),
+    "zero": (ZeroPenalty, ()),
+    "constant_nonzero": (ConstantNonzeroPenalty, ("K",)),
+    "constant_above": (ConstantAbovePenalty, ("K", "x0")),
+    "linear": (LinearPenalty, ("alpha",)),
+    "quadratic": (QuadraticPenalty, ("alpha",)),
+    "optimal_canonical": (OptimalCanonicalPenalty, ("K",)),
+    "surface": (SurfaceOptimalPenalty, ("v1", "v2")),
+    "tabulated": (TabulatedPenalty, ("points",)),
 }
 
 
+def _finite(value, what: str) -> float:
+    """A JSON number that is a finite real; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _tabulated_points(points) -> list:
+    if not isinstance(points, (list, tuple)):
+        raise DomainError("tabulated points must be a list")
+    out = []
+    for i, p in enumerate(points):
+        if not isinstance(p, (list, tuple)) or len(p) not in (3, 4):
+            raise DomainError(f"tabulated point {i} must be [x, value, jump] or [x, value, jump, right_value]")
+        x, value, jump, *right = p
+        if not isinstance(jump, bool):
+            raise DomainError(f"tabulated point {i}: jump must be true or false, got {jump!r}")
+        what = f"tabulated point {i}"
+        out.append([_finite(x, what), _finite(value, what), jump, *(_finite(r, what) for r in right)])
+    return out
+
+
 def penalty_from_json(spec: dict) -> Penalty:
-    """Build a penalty from its JSON description."""
-    try:
-        maker = _KINDS[spec["kind"]]
-    except KeyError as exc:
-        raise DomainError(f"unknown penalty kind: {spec.get('kind')!r}") from exc
-    return maker(spec)
-
-
-def evaluate(penalty: Penalty, x) -> float:
-    """C(|x|) with the |x| <= 1 domain check."""
-    return penalty.value(x)
+    """Build a penalty from its JSON description, checking its schema first."""
+    if not isinstance(spec, dict):
+        raise DomainError("penalty must be a JSON object")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DomainError(f"unknown penalty kind: {kind!r}")
+    maker, keys = _KINDS[kind]
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise DomainError(f"{kind} penalty needs {', '.join(missing)}")
+    return maker(*(_tabulated_points(spec[k]) if k == "points" else _finite(spec[k], k) for k in keys))
 
 
 class ValidationReport:

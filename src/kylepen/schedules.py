@@ -44,6 +44,7 @@ class DemandSchedule:
         # value at v = 1 is the left-continuous one
         self.right[-1] = self.left[-1]
         self._inv = None
+        self._inv_cum = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -235,28 +236,41 @@ class DemandSchedule:
             return float(self._inv_pos(np.asarray(min(x, self.x_max)), rule))
         return -self.inverse_limit(-x, "+" if side == "-" else "-")
 
+    def _inverse_areas(self):
+        """Running sums of the full-piece integrals of the inverse.
+
+        Entry k is the integral over [0, xhi[k]], summed in piece order exactly
+        as a piece-by-piece walk would add it.
+        """
+        if self._inv_cum is None:
+            xlo, xhi, vlo, vhi = self._inverse_pieces()
+            frac = np.where(xhi > xlo, 1.0, 0.0)
+            vu = vlo + frac * (vhi - vlo)
+            self._inv_cum = np.cumsum((xhi - xlo) * 0.5 * (vlo + vu))
+        return self._inv_cum
+
     def inverse_integral(self, p: float, q: float) -> float:
         """Exact integral of the inverse over [p, q] within [-x_max, x_max].
 
         The left and right inverses agree outside a countable set, so the
-        integral is unambiguous.
+        integral is unambiguous.  The first call builds a table of running
+        piece integrals in O(n) for n inverse pieces; each call then costs
+        O(log n).
         """
         if q < p:
             return -self.inverse_integral(q, p)
 
         def anti(t):  # integral over [0, t], t >= 0
             xlo, xhi, vlo, vhi = self._inverse_pieces()
-            if len(xlo) == 0:
+            k = int(np.searchsorted(xlo, t, side="left")) - 1  # last piece with xlo < t
+            if k < 0:
                 return 0.0
-            total = 0.0
-            for a, b, va, vb in zip(xlo, xhi, vlo, vhi):
-                if t <= a:
-                    break
-                u = min(t, b)
-                frac = (u - a) / (b - a) if b > a else 0.0
-                vu = va + frac * (vb - va)
-                total += (u - a) * 0.5 * (va + vu)
-            return total
+            a, b, va, vb = xlo[k], xhi[k], vlo[k], vhi[k]
+            u = min(t, b)
+            frac = (u - a) / (b - a) if b > a else 0.0
+            vu = va + frac * (vb - va)
+            below = self._inverse_areas()[k - 1] if k else 0.0
+            return below + (u - a) * 0.5 * (va + vu)
 
         # the inverse is odd a.e., so its antiderivative is even
         return anti(abs(q)) - anti(abs(p))
@@ -272,15 +286,6 @@ class DemandSchedule:
             self.right[:-1],
             self.left[1:],
         )
-
-    def integrate(self, f) -> float:
-        """Exact integral over [0, 1] of f(v, X(v)) when f is polynomial of
-        joint degree <= 2 on each piece (Simpson is exact there)."""
-        v0, v1, a, b = self.segment_arrays()
-        vm = 0.5 * (v0 + v1)
-        xm = 0.5 * (a + b)
-        h = v1 - v0
-        return float(np.sum(h / 6.0 * (f(v0, a) + 4.0 * f(vm, xm) + f(v1, b))))
 
     def integral_upto(self, v: float) -> float:
         """Exact integral of X over [0, v] (odd integrand, so |v| suffices)."""
@@ -304,20 +309,15 @@ class DemandSchedule:
         """(v, X(v)) rows on a uniform grid with duplicated rows at jumps so
         that plots render verticals faithfully."""
         grid = np.linspace(-1.0, 1.0, n)
-        jump_nodes = []
-        for k in range(len(self.nodes)):
-            if self.right[k] > self.left[k]:
-                jump_nodes.append(self.nodes[k])
-        rows = []
-        for v in grid:
-            rows.append((v, self.evaluate(v)))
-        for v in jump_nodes:
+        rows = list(zip(grid.tolist(), self.evaluate(grid).tolist()))
+        for k in np.flatnonzero(self.right > self.left):
+            v, lo, hi = float(self.nodes[k]), float(self.left[k]), float(self.right[k])
             if v > 0.0 or self.right[0] > 0.0:
-                rows.append((v, float(self.left[self.nodes == v][0])))
-                rows.append((v, float(self.right[self.nodes == v][0])))
+                rows.append((v, lo))
+                rows.append((v, hi))
             if v > 0.0:
-                rows.append((-v, -float(self.left[self.nodes == v][0])))
-                rows.append((-v, -float(self.right[self.nodes == v][0])))
+                rows.append((-v, -lo))
+                rows.append((-v, -hi))
         rows.sort(key=lambda r: (r[0], r[1]))
         return rows
 

@@ -51,3 +51,18 @@ def random_shaded_schedule(rng) -> DemandSchedule:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def large_schedules():
+    """Numerically solved schedules with more than 1,000 nodes: a convex
+    tabulated penalty (a no-trade band, no jump) and one with a jump."""
+    from kylepen import TabulatedPenalty, solve_demand_numeric
+
+    penalties = [
+        TabulatedPenalty([[0.0, 0.0, False], [0.25, 0.025, False], [0.5, 0.1, False], [1.0, 0.4, False]]),
+        TabulatedPenalty([[0.0, 0.0, False], [0.3, 0.03, True, 0.08], [1.0, 0.15, False]]),
+    ]
+    schedules = [solve_demand_numeric(p) for p in penalties]
+    assert all(len(X.nodes) > 1000 for X in schedules)
+    return schedules

@@ -102,6 +102,23 @@ def test_inadmissible_penalty_exit_code(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind": "linear"}',
+        '{"kind": "tabulated", "points": [[0, 0]]}',
+        '{"kind": "quadratic", "alpha": "0.1"}',
+    ],
+    ids=["missing-key", "short-point", "string-number"],
+)
+def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
+    code = main(["solve", "--penalty", spec, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_surface_command(tmp_path):
     code = main(["surface", "--grid", "40", "--out", str(tmp_path)])
     assert code == EXIT_OK

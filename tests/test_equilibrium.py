@@ -200,3 +200,30 @@ def test_psi_zero_at_zero_order(rng):
     pen = kp.QuadraticPenalty(0.5)
     for v in rng.uniform(-1, 1, 10):
         assert psi(pen, 0.0, v) == 0.0
+
+
+# ----------------------------------------------------------------------
+# pricing on large schedules
+# ----------------------------------------------------------------------
+def reference_price_rows(P, n):
+    """Rows built point by point with scalar evaluate."""
+    xm = P.x_max
+    rows = [(d, P.evaluate(d)) for d in np.linspace(-(1.0 + xm) - 0.25, 1.0 + xm + 0.25, n)]
+    for d in P.jump_points():
+        rows += [(d, P.evaluate_limit(d, "-")), (d, P.evaluate_limit(d, "+"))]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
+def test_price_sample_rows_match_scalar_reference(rng, large_schedules):
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        P = kp.PriceFunction(X)
+        assert P.sample_rows(1001) == reference_price_rows(P, 1001)
+
+
+def test_expected_price_linear_on_large_schedules(rng, large_schedules):
+    for X in large_schedules:
+        P = kp.PriceFunction(X)
+        for x in rng.uniform(-1.0, 1.0, 64):
+            assert abs(P.expected_price(x) - 0.5 * x) < 1e-10

@@ -135,6 +135,26 @@ def test_fmin_output_is_non_dominated():
             assert not dominated
 
 
+def reference_frontier(f_min, grid):
+    """Pareto filter as a loop: keep a point whose S beats the last kept S."""
+    v1, v2, g, s, f = kp.sample_surface(grid)
+    keep = f >= f_min - 1e-15
+    v1, v2, g, s, f = (a[keep] for a in (v1, v2, g, s, f))
+    out = []
+    best_s = np.inf
+    for i in np.lexsort((s, -g)):
+        if s[i] < best_s - 1e-15:
+            out.append((float(g[i]), float(s[i]), float(v1[i]), float(v2[i]), float(f[i])))
+            best_s = s[i]
+    return out
+
+
+@pytest.mark.parametrize("grid", [37, 400])
+@pytest.mark.parametrize("f_min", [0.0, 0.02, 0.05, 0.07])
+def test_fmin_matches_loop_reference(f_min, grid):
+    assert kp.fmin_efficient_frontier(f_min, grid=grid) == reference_frontier(f_min, grid)
+
+
 def test_fmin_infeasible():
     with pytest.raises(InfeasibleError):
         kp.fmin_efficient_frontier(MAX_EXPECTED_FINE + 0.01)

@@ -119,6 +119,29 @@ def test_unknown_kind_rejected():
         kp.penalty_from_json({"kind": "cubic"})
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "linear"},
+        {"kind": "surface", "v1": 0.5},
+        {"kind": "quadratic", "alpha": "0.1"},
+        {"kind": "quadratic", "alpha": True},
+        {"kind": "quadratic", "alpha": float("nan")},
+        {"kind": "constant_above", "K": float("inf"), "x0": 0.1},
+        {"kind": "tabulated"},
+        {"kind": "tabulated", "points": [[0.0, 0.0]]},
+        {"kind": "tabulated", "points": [[0.0, 0.0, False, 0.0, 1.0]]},
+        {"kind": "tabulated", "points": [[0.0, 0.0, "no"], [1.0, 0.3, False]]},
+        {"kind": "tabulated", "points": [[0.0, 0.0, False], [1.0, float("nan"), False]]},
+        {"kind": ["quadratic"]},
+        ["quadratic"],
+    ],
+)
+def test_malformed_spec_rejected(spec):
+    with pytest.raises(DomainError):
+        kp.penalty_from_json(spec)
+
+
 # ----------------------------------------------------------------------
 # admissibility validation
 # ----------------------------------------------------------------------

@@ -148,3 +148,61 @@ def test_sample_rows_duplicate_jumps():
     assert ys[-1] == pytest.approx(0.5)
     vs = [r[0] for r in rows]
     assert vs == sorted(vs)
+
+
+# ----------------------------------------------------------------------
+# array paths against per-point reference loops
+# ----------------------------------------------------------------------
+def reference_sample_rows(X, n):
+    """Rows built point by point with scalar evaluate."""
+    rows = [(v, X.evaluate(v)) for v in np.linspace(-1.0, 1.0, n)]
+    for k in range(len(X.nodes)):
+        if X.right[k] > X.left[k]:
+            v = X.nodes[k]
+            if v > 0.0 or X.right[0] > 0.0:
+                rows += [(v, float(X.left[k])), (v, float(X.right[k]))]
+            if v > 0.0:
+                rows += [(-v, -float(X.left[k])), (-v, -float(X.right[k]))]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
+def reference_inverse_integral(X, p, q):
+    """Integral of the inverse, walking every inverse piece."""
+    if q < p:
+        return -reference_inverse_integral(X, q, p)
+
+    def anti(t):
+        total = 0.0
+        for a, b, va, vb in zip(*X._inverse_pieces()):
+            if t <= a:
+                break
+            u = min(t, b)
+            frac = (u - a) / (b - a) if b > a else 0.0
+            vu = va + frac * (vb - va)
+            total += (u - a) * 0.5 * (va + vu)
+        return total
+
+    return anti(abs(q)) - anti(abs(p))
+
+
+def _integral_limits(X, rng):
+    """Random limits plus the piece ends, 0 and +-x_max, as (p, q) pairs."""
+    xm = X.x_max
+    ends = np.concatenate([X._inverse_pieces()[0], [0.0, xm]])
+    ends = ends[:: max(1, len(ends) // 40)]
+    pts = np.concatenate([rng.uniform(-xm, xm, 60), ends, -ends])
+    return list(zip(pts, rng.permutation(pts)))
+
+
+def test_sample_rows_match_scalar_reference(rng, large_schedules):
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        assert X.sample_rows(1001) == reference_sample_rows(X, 1001)
+
+
+def test_inverse_integral_matches_piece_walk(rng, large_schedules):
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        for p, q in _integral_limits(X, rng):
+            assert X.inverse_integral(p, q) == reference_inverse_integral(X, p, q)
