@@ -21,11 +21,7 @@ from .errors import DomainError, InfeasibleError
 from .penalties import penalty_from_json, validate
 from .equilibrium import solve_equilibrium, verify_equilibrium
 from .metrics import compute_metrics, monte_carlo_metrics
-from .frontier import (
-    fmin_efficient_frontier,
-    sample_surface,
-    surface_schedule,
-)
+from .frontier import fmin_efficient_frontier, sample_surface
 from .supports import SupportSpec, denormalize_solution, normalize_penalty
 from .gaussian import GaussianGrid, gaussian_fixed_point
 from .penalties import (
@@ -378,9 +374,8 @@ def _cmd_figures(args) -> int:
     sub = out / "price_patterns_surface"
     sub.mkdir(parents=True, exist_ok=True)
     for tag, (v1, v2) in (("threshold", (0.75, 0.75)), ("two_kink", (0.5, 0.75))):
-        sched = surface_schedule(v1, v2)
         sol = solve_equilibrium(SurfaceOptimalPenalty(v1, v2))
-        _write_csv(sub / f"demand_{tag}.csv", ["v", "X"], sched.sample_rows(samples))
+        _write_csv(sub / f"demand_{tag}.csv", ["v", "X"], sol.schedule.sample_rows(samples))
         _write_csv(sub / f"price_{tag}.csv", ["d", "P"], sol.price.sample_rows(samples))
     _write_json(
         sub / "manifest.json",

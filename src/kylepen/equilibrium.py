@@ -8,24 +8,16 @@ price function follows from the market maker's break-even condition.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SolverError
-from .penalties import (
-    ConstantAbovePenalty,
-    ConstantNonzeroPenalty,
-    LinearPenalty,
-    OptimalCanonicalPenalty,
-    Penalty,
-    QuadraticPenalty,
-    SurfaceOptimalPenalty,
-    ZeroPenalty,
-)
+from .errors import DomainError
+from .penalties import Penalty
 from .schedules import DemandSchedule
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 # ----------------------------------------------------------------------
@@ -39,146 +31,157 @@ def psi(penalty: Penalty, x, v):
 
 
 # ----------------------------------------------------------------------
-# closed-form demand schedules
+# exact demand solver
 # ----------------------------------------------------------------------
-def solve_demand_analytic(penalty: Penalty):
-    """Exact schedule for the closed-form families; None if unsupported."""
-    if isinstance(penalty, ZeroPenalty):
-        return DemandSchedule.identity()
-    if isinstance(penalty, QuadraticPenalty):
-        return DemandSchedule.proportional(1.0 / (1.0 + 2.0 * penalty.alpha))
-    if isinstance(penalty, LinearPenalty):
-        a = penalty.alpha
-        if a >= 1.0:
-            return DemandSchedule.zero()
-        if a == 0.0:
-            return DemandSchedule.identity()
-        return DemandSchedule(
-            [0.0, a, 1.0], [0.0, 0.0, 1.0 - a], [0.0, 0.0, 1.0 - a]
-        )
-    if isinstance(penalty, (ConstantNonzeroPenalty, OptimalCanonicalPenalty)):
-        return DemandSchedule.step_mimic(np.sqrt(2.0 * penalty.K))
-    if isinstance(penalty, SurfaceOptimalPenalty):
-        v1, v2 = penalty.v1, penalty.v2
-        if v1 == 0.0:
-            return DemandSchedule.identity()
-        if v1 == v2:
-            return DemandSchedule.step_mimic(v1)
-        if v2 == 1.0:
-            return DemandSchedule(
-                [0.0, v1, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
-            )
-        return DemandSchedule(
-            [0.0, v1, v2, 1.0],
-            [0.0, 0.0, v2, 1.0],
-            [0.0, 0.0, v2, 1.0],
-        )
-    if isinstance(penalty, ConstantAbovePenalty):
-        K, x0 = penalty.K, penalty.x0
-        v_star = x0 + np.sqrt(2.0 * K)
-        if x0 >= 1.0:
-            return DemandSchedule.identity()
-        if v_star >= 1.0:
-            return DemandSchedule(
-                [0.0, x0, 1.0], [0.0, x0, x0], [0.0, x0, x0]
-            )
-        return DemandSchedule(
-            [0.0, x0, v_star, 1.0],
-            [0.0, x0, x0, 1.0],
-            [0.0, x0, v_star, 1.0],
-        )
-    return None
+_ROUNDING = 4.0 * sys.float_info.epsilon  # slopes this close differ by rounding only
 
 
-# ----------------------------------------------------------------------
-# numeric demand solver
-# ----------------------------------------------------------------------
-def _golden_max(f, lo, hi, tol):
-    """Vectorized golden-section maximisation on per-element brackets."""
-    lo = lo.copy()
-    hi = hi.copy()
-    n_iter = int(np.ceil(np.log(max(tol, 1e-15) / max(np.max(hi - lo), tol)) / np.log(_GOLDEN))) + 1
-    for _ in range(max(n_iter, 1)):
-        gap = hi - lo
-        x1 = hi - _GOLDEN * gap
-        x2 = lo + _GOLDEN * gap
-        shrink_hi = f(x1) >= f(x2)
-        hi = np.where(shrink_hi, x2, hi)
-        lo = np.where(shrink_hi, lo, x1)
-    return 0.5 * (lo + hi)
+class _Arc(NamedTuple):
+    """One penalty piece as seen by the insider: h(x) = x^2/2 + C(x) is
+    c0 + c1 x + q x^2 on [a, b], so the best order on the piece is a up to
+    v = sa = h'(a), (v - c1) / 2q in between and b from v = sb = h'(b) on."""
+
+    a: float
+    b: float
+    c0: float
+    c1: float
+    c2: float
+    jump: bool
+    q: float
+    sa: float
+    sb: float
+
+    @classmethod
+    def of(cls, a, b, c0, c1, c2, jump):
+        q = c2 + 0.5
+        return cls(a, b, c0, c1, c2, jump, q, c1 + 2.0 * q * a, c1 + 2.0 * q * b)
+
+    def C(self, x):
+        return self.c0 + self.c1 * x + self.c2 * x * x
+
+    def order(self, v, right=False):
+        """Best order at v; at a jump inside the piece (q = 0), the left one
+        unless ``right``."""
+        if self.q == 0.0:
+            return self.b if v > self.c1 or (right and v == self.c1) else self.a
+        if v <= self.sa:
+            return self.a
+        if v >= self.sb:
+            return self.b
+        return min(max((v - self.c1) / (2.0 * self.q), self.a), self.b)
+
+    def profit(self, v):
+        x = self.order(v)
+        return x * v - (self.C(x) + 0.5 * x * x)
+
+    def fixed(self, v):
+        """The order held constant around v, or None where it moves with v."""
+        if self.q == 0.0:
+            return self.a if v < self.c1 else self.b
+        return self.a if v <= self.sa else self.b if v >= self.sb else None
 
 
-def solve_demand_numeric(
-    penalty: Penalty,
-    n_v: int = 4001,
-    n_x: int = 4001,
-    bracket_tol: float = 1e-10,
-    tie_tol: float = 1e-12,
-    jump_factor: float = 10.0,
-) -> DemandSchedule:
-    """Pointwise argmax of psi over x in [0, 1] on a uniform v-grid.
+def _crossing(j: _Arc, k: _Arc, u: float, w: float) -> float:
+    """Where phi_k - phi_j, non-decreasing and changing sign on [u, w],
+    reaches zero.  Each formula is the root with the positive slope, written
+    about the fixed order where there is one so that it keeps full precision."""
+    m = 0.5 * (u + w)
+    ej, ek = j.fixed(m), k.fixed(m)
+    if ej is not None and ek is not None:
+        if ek == ej:  # a constant difference changes sign through rounding only
+            return u
+        t = (k.C(ek) - j.C(ej)) / (ek - ej) + 0.5 * (ek + ej)
+    elif ej is not None:
+        t = k.c1 + 2.0 * k.q * ej + math.sqrt(max(4.0 * k.q * (k.C(ej) - j.C(ej)), 0.0))
+    elif ek is not None:
+        t = j.c1 + 2.0 * j.q * ek - math.sqrt(max(4.0 * j.q * (j.C(ek) - k.C(ek)), 0.0))
+    else:
+        A = 0.25 / k.q - 0.25 / j.q
+        B = 0.5 * j.c1 / j.q - 0.5 * k.c1 / k.q
+        C = 0.25 * k.c1 * k.c1 / k.q - k.c0 - 0.25 * j.c1 * j.c1 / j.q + j.c0
+        D = math.sqrt(max(B * B - 4.0 * A * C, 0.0))
+        if B <= 0.0 < A:
+            t = (D - B) / (2.0 * A)
+        else:
+            t = -2.0 * C / (B + D) if B + D > 0.0 else u  # B = D = 0: flat, as above
+    return min(max(t, u), w)
 
-    The x-range is split at the penalty's breakpoints so that golden-section
-    refinement only ever sees a continuous objective; both one-sided penalty
-    values at each breakpoint enter as explicit candidates; ties go to the
-    smaller order.
+
+def _takeover(j: _Arc, k: _Arc, lo: float, joined: bool):
+    """First v in [lo, 1) from which k earns strictly more than j, or None.
+
+    k lies right of j in x, so phi_k - phi_j is non-decreasing in v and k,
+    once ahead, stays ahead.  ``joined``: k starts where j ends and C does
+    not jump there.  If h's slope does not drop at that joint, the two tie
+    on the whole band where both pick the joint, and k leaves it at h_k'(a);
+    that end is read off the slopes, since the tie is a double root.
     """
-    vs = np.linspace(0.0, 1.0, n_v)
-    xg = np.linspace(0.0, 1.0, n_x)
-    cg = penalty.value(xg)
-    breaks = [b for b in penalty.breakpoints() if 0.0 < b < 1.0]
-    edges = np.unique(np.concatenate([[0.0, 1.0], breaks]))
+    if joined and k.sa >= j.sb:
+        t = k.sa
+    else:
+        vs = sorted({lo, 1.0, *(s for s in (j.sa, j.sb, k.sa, k.sb) if lo < s < 1.0)})
+        i = next((i for i, v in enumerate(vs) if k.profit(v) > j.profit(v)), None)
+        if i is None:
+            return None
+        t = lo if i == 0 else _crossing(j, k, vs[i - 1], vs[i])
+    return t if t < 1.0 else None
 
-    cand_x = []  # each entry: array of shape (n_v,) or scalar broadcast
-    cand_val = []
 
-    def add_candidate(x_arr):
-        x_arr = np.broadcast_to(np.asarray(x_arr, dtype=float), vs.shape)
-        cand_x.append(x_arr)
-        cand_val.append(x_arr * (vs - 0.5 * x_arr) - penalty.value(x_arr))
+def _line(arc: _Arc, u: float, w: float):
+    """The affine map v -> X(v) that ``arc`` follows on (u, w)."""
+    e = arc.fixed(0.5 * (u + w))
+    return (e,) if e is not None else (arc.c1, arc.q)
 
-    add_candidate(0.0)
-    add_candidate(1.0)
-    for b in breaks:
-        add_candidate(b)
 
-    # refined interior candidate per penalty piece
-    chunk = 512
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        mask = (xg > lo_e) & (xg <= hi_e)
-        if lo_e == 0.0:
-            mask |= xg == 0.0
-        idx = np.nonzero(mask)[0]
-        if len(idx) == 0:
-            continue
-        xs_piece = xg[idx]
-        cs_piece = cg[idx]
-        x_ref = np.empty_like(vs)
-        for s in range(0, n_v, chunk):
-            vblk = vs[s : s + chunk]
-            m = xs_piece[None, :] * (vblk[:, None] - 0.5 * xs_piece[None, :]) - cs_piece[None, :]
-            i = np.argmax(m, axis=1)
-            blo = np.maximum(xs_piece[np.maximum(i - 1, 0)], lo_e + 1e-14)
-            bhi = np.minimum(xs_piece[np.minimum(i + 1, len(idx) - 1)], hi_e)
-            blo = np.minimum(blo, bhi)
+def solve_demand(penalty: Penalty) -> DemandSchedule:
+    """Exact equilibrium demand: the pointwise argmax of psi over [0, 1].
 
-            def f(x, vblk=vblk):
-                return x * (vblk - 0.5 * x) - penalty.value(x)
+    Each penalty piece k yields a best profit phi_k(v) over its own x-range
+    in closed form, and X(v) follows the piece whose phi_k is largest, ties
+    going to the smaller order.  One stack sweep over the pieces (the
+    convex-hull trick) finds where each winner takes over; the schedule's
+    nodes are those take-over points plus the winners' own kinks.
+    """
+    arcs = [_Arc.of(*row) for row in penalty.pieces()]
+    for n in range(1, len(arcs)):
+        # h' computed from either side of a joint may differ in the last bits;
+        # one value keeps the joint free of a flat or a jump only rounding made
+        j, k = arcs[n - 1], arcs[n]
+        if not k.jump and j.q > 0.0 and math.isclose(j.sb, k.sa, rel_tol=_ROUNDING, abs_tol=_ROUNDING):
+            arcs[n - 1] = j._replace(sb=k.sa)
+    if arcs[0].jump:  # C jumps at 0: the order x = 0 competes on its own
+        arcs.insert(0, _Arc.of(0.0, 0.0, 0.0, 0.0, 0.0, False))
+    reign = []  # (arc index, v from which it wins)
+    for i, k in enumerate(arcs):
+        while reign:
+            j, lo = reign[-1]
+            t = _takeover(arcs[j], k, lo, j == i - 1 and not k.jump)
+            if t is None or t > lo:
+                break
+            reign.pop()
+        else:
+            t = 0.0
+        if t is not None:
+            reign.append((i, t))
 
-            x_ref[s : s + chunk] = _golden_max(f, blo, bhi, bracket_tol)
-        add_candidate(x_ref)
-
-    xc = np.stack(cand_x)
-    vc = np.stack(cand_val)
-    top = vc.max(axis=0)
-    eligible = vc >= top - tie_tol
-    x_star = np.where(eligible, xc, np.inf).min(axis=0)
-
-    if np.any(np.diff(x_star) < -1e-8):
-        raise SolverError("monotonicity violation")
-    x_star = np.maximum.accumulate(x_star)
-    dv = vs[1] - vs[0]
-    return DemandSchedule.from_samples(vs, x_star, jump_tol=jump_factor * dv)
+    segments = []  # (u, w, arc): on (u, w), X follows one line of one arc
+    for n, (i, lo) in enumerate(reign):
+        arc = arcs[i]
+        hi = reign[n + 1][1] if n + 1 < len(reign) else 1.0
+        cuts = [lo, *sorted({s for s in (arc.sa, arc.sb) if lo < s < hi}), hi]
+        segments += [(u, w, arc) for u, w in zip(cuts[:-1], cuts[1:])]
+    first, last = segments[0][2], segments[-1][2]
+    nodes, left, right = [0.0], [0.0], [first.order(0.0, right=True)]
+    for (u, v, arc), (_, w, nxt) in zip(segments[:-1], segments[1:]):
+        xl, xr = arc.order(v), nxt.order(v, right=True)
+        if xl != xr or _line(arc, u, v) != _line(nxt, v, w):
+            nodes.append(v)
+            left.append(xl)
+            right.append(xr)
+    nodes.append(1.0)
+    left.append(last.order(1.0))
+    right.append(left[-1])
+    return DemandSchedule(nodes, left, right)
 
 
 # ----------------------------------------------------------------------
@@ -321,24 +324,16 @@ class EquilibriumSolution:
     meta: dict = field(default_factory=dict)
 
 
-def solve_equilibrium(penalty: Penalty, method: str = "auto", **grid) -> EquilibriumSolution:
-    """Solve the game for an admissible penalty.
+def solve_equilibrium(penalty: Penalty, method: str = "auto") -> EquilibriumSolution:
+    """Solve the game for an admissible penalty with the exact solver.
 
-    ``method`` is "auto" (analytic when available), "analytic" or "numeric".
+    ``method`` ("auto", "analytic" or "numeric") is kept so that existing
+    callers run unchanged; every value runs the same solver.
     """
-    schedule = None
-    used = "numeric"
-    if method in ("auto", "analytic"):
-        schedule = solve_demand_analytic(penalty)
-        if schedule is not None:
-            used = "analytic"
-        elif method == "analytic":
-            raise DomainError("no closed form for this penalty kind")
-    if schedule is None:
-        schedule = solve_demand_numeric(penalty, **grid)
-    meta = {"method": used}
-    meta.update({k: v for k, v in grid.items()})
-    return EquilibriumSolution(penalty, schedule, PriceFunction(schedule), meta)
+    if method not in ("auto", "analytic", "numeric"):
+        raise DomainError(f"unknown method {method!r}")
+    schedule = solve_demand(penalty)
+    return EquilibriumSolution(penalty, schedule, PriceFunction(schedule), {"method": "exact"})
 
 
 @dataclass
@@ -381,8 +376,7 @@ def verify_equilibrium(
         achieved = psi(sol.penalty, sol.schedule.evaluate(v), v)
         best = float(np.max(psi(sol.penalty, grid, v)))
         opt_gap = max(opt_gap, best - achieved)
-    # the schedule is resolved on a grid, so allow a resolution-scale slack
-    opt_ok = opt_gap <= max(tol, 1e-6)
+    opt_ok = opt_gap <= tol
 
     v = rng.uniform(-1.0, 1.0, mc_samples)
     u = rng.uniform(-1.0, 1.0, mc_samples)

@@ -8,12 +8,15 @@ above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import solve_demand
 from .errors import DomainError, InfeasibleError
 from .metrics import SQRT3
+from .penalties import ConstantAbovePenalty, SurfaceOptimalPenalty, ZeroPenalty
 from .schedules import DemandSchedule
 
 MAX_EXPECTED_FINE = 1.0 / 12.0  # global maximum of F over the surface
@@ -53,26 +56,13 @@ def gmin_nonpecuniary(K: float) -> float:
 
 def x_alpha_schedule(K: float, alpha: float) -> DemandSchedule:
     """Mimic up to alpha, stay at alpha through the indifference band, then
-    mimic again.  All these schedules share the same |G| but differ in S."""
+    mimic again: the equilibrium of a fine K on trades above alpha.  All these
+    schedules share the same |G| but differ in S."""
     if not 0.0 <= K <= 0.5:
         raise DomainError("K must lie in [0, 1/2]")
-    width = np.sqrt(2.0 * K)
-    if not 0.0 <= alpha <= 1.0 - width + 1e-12:
+    if not 0.0 <= alpha <= 1.0 - np.sqrt(2.0 * K) + 1e-12:
         raise DomainError("alpha must lie in [0, 1 - sqrt(2K)]")
-    if width == 0.0:
-        return DemandSchedule.identity()
-    v_star = alpha + width
-    if alpha == 0.0:
-        return DemandSchedule.step_mimic(width)
-    if v_star >= 1.0:
-        return DemandSchedule(
-            [0.0, alpha, 1.0], [0.0, alpha, alpha], [0.0, alpha, alpha]
-        )
-    return DemandSchedule(
-        [0.0, alpha, v_star, 1.0],
-        [0.0, alpha, alpha, 1.0],
-        [0.0, alpha, v_star, 1.0],
-    )
+    return solve_demand(ConstantAbovePenalty(K, alpha))
 
 
 # ----------------------------------------------------------------------
@@ -101,15 +91,8 @@ def surface_schedule(v1: float, v2: float) -> DemandSchedule:
     v1, linear up to (v2, v2), mimicking above."""
     if not in_generator_region(v1, v2):
         raise DomainError("(v1, v2) outside the generator region")
-    if v1 == 0.0:
-        return DemandSchedule.identity()
-    if v1 == v2:
-        return DemandSchedule.step_mimic(v1)
-    if v2 >= 1.0:
-        return DemandSchedule([0.0, v1, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-    return DemandSchedule(
-        [0.0, v1, v2, 1.0], [0.0, 0.0, v2, 1.0], [0.0, 0.0, v2, 1.0]
-    )
+    # the region's corner (0, 0) is the zero penalty's mimicking schedule
+    return solve_demand(SurfaceOptimalPenalty(v1, v2) if v2 > 0.0 else ZeroPenalty())
 
 
 def max_fine_over_optimal_class():
@@ -120,6 +103,8 @@ def max_fine_over_optimal_class():
 
 def sample_surface(grid: int = 400):
     """(v1, v2, G, S, F) arrays over a mapped rectangular grid of J."""
+    if grid < 2:
+        raise DomainError("surface grid needs at least 2 points per side")
     t2 = np.linspace(0.0, 1.0, grid)
     rows_v1, rows_v2 = [], []
     for v2 in t2:
@@ -141,8 +126,8 @@ def fmin_efficient_frontier(f_min: float, grid: int = 400):
     Returns a list of (G, S, v1, v2, F) sorted by decreasing G.  Domination
     means some other feasible point has G' >= G and S' <= S with one strict.
     """
-    if f_min < 0.0:
-        raise DomainError("fine floor must be non-negative")
+    if not math.isfinite(f_min) or f_min < 0.0:
+        raise DomainError("fine floor must be a finite non-negative number")
     if f_min > MAX_EXPECTED_FINE + 1e-12:
         raise InfeasibleError(
             "fine floor exceeds the global maximum expected fine 1/12"

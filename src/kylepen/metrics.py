@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .penalties import Penalty
 from .schedules import DemandSchedule
 
@@ -102,6 +103,8 @@ def monte_carlo_metrics(sol, n: int, seed: int) -> MonteCarloMetrics:
     order flow, so its conditional standard deviation is the interval length
     over 2*sqrt(3); this removes a nested sampling layer.
     """
+    if n < 2:
+        raise DomainError("Monte Carlo metrics need at least 2 draws")
     rng = np.random.default_rng(seed)
     schedule: DemandSchedule = sol.schedule
     penalty: Penalty = sol.penalty

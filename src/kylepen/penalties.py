@@ -25,6 +25,11 @@ def _as_pos_array(x):
     return np.abs(arr), arr.ndim == 0
 
 
+def _on_unit(rows) -> list[tuple]:
+    """Rows cut to [0, 1], dropping the empty ones."""
+    return [(a, min(b, 1.0), *rest) for a, b, *rest in rows if a < min(b, 1.0)]
+
+
 class Penalty:
     """Base class. Subclasses implement ``_value_pos`` on [0, 1]."""
 
@@ -39,16 +44,26 @@ class Penalty:
         out = self._value_pos(np.minimum(pos, 1.0))
         return float(out) if scalar else out
 
+    def pieces(self) -> list[tuple]:
+        """C on [0, 1] as rows ``(a, b, c0, c1, c2, jump)``.
+
+        On (a, b] the penalty is c0 + c1 x + c2 x^2; the rows are contiguous
+        from 0 to 1, and ``jump`` says that C jumps up at a (C(0) = 0 always,
+        so a first row with c0 > 0 jumps at the origin).
+        """
+        raise NotImplementedError
+
     def right_limit(self, x: float) -> float:
         """lim_{t -> x+} C(t) for 0 <= x < 1. Equals value(x) when continuous."""
-        return float(self._value_pos(np.asarray(min(x, 1.0)))) if x >= 1.0 else self._right_limit_pos(x)
-
-    def _right_limit_pos(self, x: float) -> float:
-        return float(self._value_pos(np.asarray(x)))
+        if x >= 1.0:
+            return float(self._value_pos(np.asarray(1.0)))
+        for a, b, c0, c1, c2, _ in self.pieces():
+            if a <= x < b:
+                return c0 + c1 * x + c2 * x * x
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points in [0, 1) where C jumps or kinks; used to split argmax searches."""
-        return ()
+        return tuple(a for a, _, _, _, _, jump in self.pieces() if a > 0.0 or jump)
 
     def value_extended(self, x):
         """Family formula evaluated without the [-1, 1] restriction."""
@@ -69,6 +84,9 @@ class ZeroPenalty(Penalty):
     def _value_pos(self, x):
         return np.zeros_like(x)
 
+    def pieces(self):
+        return [(0.0, 1.0, 0.0, 0.0, 0.0, False)]
+
     def to_json(self):
         return {"kind": "zero"}
 
@@ -86,11 +104,8 @@ class ConstantNonzeroPenalty(Penalty):
     def _value_pos(self, x):
         return np.where(x > 0, self.K, 0.0)
 
-    def breakpoints(self):
-        return (0.0,)
-
-    def _right_limit_pos(self, x):
-        return self.K if x >= 0 else 0.0
+    def pieces(self):
+        return [(0.0, 1.0, self.K, 0.0, 0.0, self.K > 0.0)]
 
     def to_json(self):
         return {"kind": "constant_nonzero", "K": self.K}
@@ -110,11 +125,8 @@ class ConstantAbovePenalty(Penalty):
     def _value_pos(self, x):
         return np.where(x > self.x0, self.K, 0.0)
 
-    def breakpoints(self):
-        return (self.x0,) if self.x0 < 1.0 else ()
-
-    def _right_limit_pos(self, x):
-        return self.K if x >= self.x0 else 0.0
+    def pieces(self):
+        return _on_unit([(0.0, self.x0, 0.0, 0.0, 0.0, False), (self.x0, 1.0, self.K, 0.0, 0.0, self.K > 0.0)])
 
     def to_json(self):
         return {"kind": "constant_above", "K": self.K, "x0": self.x0}
@@ -131,6 +143,9 @@ class LinearPenalty(Penalty):
     def _value_pos(self, x):
         return self.alpha * x
 
+    def pieces(self):
+        return [(0.0, 1.0, 0.0, self.alpha, 0.0, False)]
+
     def to_json(self):
         return {"kind": "linear", "alpha": self.alpha}
 
@@ -145,6 +160,9 @@ class QuadraticPenalty(Penalty):
 
     def _value_pos(self, x):
         return self.alpha * x * x
+
+    def pieces(self):
+        return [(0.0, 1.0, 0.0, 0.0, self.alpha, False)]
 
     def to_json(self):
         return {"kind": "quadratic", "alpha": self.alpha}
@@ -168,8 +186,9 @@ class OptimalCanonicalPenalty(Penalty):
         s = self.cutoff
         return np.where(x <= s, x * (s - 0.5 * x), self.K)
 
-    def breakpoints(self):
-        return (self.cutoff,) if 0.0 < self.cutoff < 1.0 else ()
+    def pieces(self):
+        s = self.cutoff
+        return _on_unit([(0.0, s, 0.0, s, -0.5, False), (s, 1.0, self.K, 0.0, 0.0, False)])
 
     def to_json(self):
         return {"kind": "optimal_canonical", "K": self.K}
@@ -191,8 +210,9 @@ class SurfaceOptimalPenalty(Penalty):
         inner = self.v1 * x - (self.v1 / (2.0 * self.v2)) * x * x
         return np.where(x <= self.v2, inner, cap)
 
-    def breakpoints(self):
-        return (self.v2,) if self.v2 < 1.0 else ()
+    def pieces(self):
+        v1, v2 = self.v1, self.v2
+        return _on_unit([(0.0, v2, 0.0, v1, -(v1 / (2.0 * v2)), False), (v2, 1.0, 0.5 * v1 * v2, 0.0, 0.0, False)])
 
     def to_json(self):
         return {"kind": "surface", "v1": self.v1, "v2": self.v2}
@@ -257,14 +277,14 @@ class TabulatedPenalty(Penalty):
         out[mid] = r0 + t * (l1 - r0)
         return out.reshape(shape)
 
-    def breakpoints(self):
-        return tuple(float(x) for x in self.xs if 0.0 <= x < 1.0)
-
-    def _right_limit_pos(self, x):
-        idx = np.searchsorted(self.xs, x, side="left")
-        if idx < len(self.xs) and self.xs[idx] == x:
-            return float(self.right[idx])
-        return float(self._value_pos(np.asarray(x)))
+    def pieces(self):
+        xs, left, right = self.xs.tolist(), self.left.tolist(), self.right.tolist()
+        rows = []
+        for k, a in enumerate(xs):
+            b, end = (xs[k + 1], left[k + 1]) if k + 1 < len(xs) else (1.0, right[k])
+            slope = (end - right[k]) / (b - a) if b > a else 0.0
+            rows.append((a, b, right[k] - slope * a, slope, 0.0, right[k] > left[k]))
+        return _on_unit(rows)
 
     def value_extended(self, x):
         arr = np.abs(np.asarray(x, dtype=float))
@@ -360,9 +380,9 @@ def validate(penalty: Penalty, n_grid: int = 2001) -> ValidationReport:
         return ValidationReport(False, "nonnegative")
     if np.any(np.diff(vals) < -1e-12):
         return ValidationReport(False, "non-decreasing")
-    for b in penalty.breakpoints():
-        if b < 1.0 and penalty.right_limit(b) < penalty.value(b) - 1e-12:
-            return ValidationReport(False, "non-decreasing")
+    a, right = np.asarray([(a, c0 + c1 * a + c2 * a * a) for a, _, c0, c1, c2, _ in penalty.pieces()]).T
+    if np.any(right < penalty.value(a) - 1e-12):
+        return ValidationReport(False, "non-decreasing")
     sym = penalty.value(-grid)
     if np.any(sym != vals):
         return ValidationReport(False, "symmetric")

@@ -72,48 +72,6 @@ class DemandSchedule:
             return cls.zero()
         return cls([0.0, cutoff, 1.0], [0.0, 0.0, 1.0], [0.0, cutoff, 1.0])
 
-    @classmethod
-    def from_samples(cls, vs, xs, jump_tol: float):
-        """Compress per-grid-point maximisers into a schedule.
-
-        A gap larger than ``jump_tol`` between adjacent samples is treated as
-        a jump located at the right sample; collinear interior samples are
-        dropped.
-        """
-        vs = np.asarray(vs, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        jumps = np.diff(xs) > jump_tol
-        nodes, left, right = [vs[0]], [xs[0]], [xs[0]]
-        for i in range(1, len(vs)):
-            if jumps[i - 1]:
-                # jump located at the right sample
-                nodes.append(vs[i])
-                left.append(xs[i - 1])
-                right.append(xs[i])
-            elif (
-                len(nodes) >= 2
-                and left[-1] == right[-1]
-                and right[-2] <= left[-1]
-                and abs(
-                    right[-2]
-                    + (left[-1] - right[-2])
-                    * (vs[i] - nodes[-2])
-                    / (nodes[-1] - nodes[-2])
-                    - xs[i]
-                )
-                < 1e-12
-            ):
-                # collinear with the current linear piece: extend it
-                nodes[-1], left[-1], right[-1] = vs[i], xs[i], xs[i]
-            else:
-                nodes.append(vs[i])
-                left.append(xs[i])
-                right.append(xs[i])
-        xs0 = np.clip(np.asarray(left), 0.0, 1.0)
-        xs1 = np.clip(np.asarray(right), 0.0, 1.0)
-        xs0[0] = 0.0
-        return cls(np.asarray(nodes), xs0, xs1)
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------

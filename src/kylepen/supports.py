@@ -7,6 +7,7 @@ on the way in and solutions on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class SupportSpec:
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(t) for t in (self.a, self.b, self.c)):
+            raise DomainError("support endpoints must be finite numbers")
         if self.a <= 0.0:
             raise DomainError("noise half-width must be positive")
         if self.b >= self.c:

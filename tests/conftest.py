@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kylepen import DemandSchedule
+from kylepen import DemandSchedule, TabulatedPenalty
 
 
 def random_schedule(rng) -> DemandSchedule:
@@ -48,6 +48,24 @@ def random_shaded_schedule(rng) -> DemandSchedule:
     return DemandSchedule(nodes, left, right)
 
 
+def random_tabulated_penalty(rng):
+    """Random admissible tabulated penalty: 1 to 8 points with slopes that
+    rise and fall (convex and concave kinks) and upward jumps, sometimes at
+    the origin."""
+    m = int(rng.integers(1, 9))
+    xs = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1.0, m - 1)]))
+    points, c = [], 0.0
+    for i, x in enumerate(xs.tolist()):
+        if i:
+            c += rng.choice([0.1, 0.5, 2.0]) * rng.uniform(0.0, 1.0) * (x - xs[i - 1])
+        if rng.random() < 0.3:
+            points.append([x, c, True, c + rng.uniform(0.0, 0.15)])
+            c = points[-1][3]
+        else:
+            points.append([x, c, False])
+    return TabulatedPenalty(points)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -55,14 +73,19 @@ def rng():
 
 @pytest.fixture(scope="session")
 def large_schedules():
-    """Numerically solved schedules with more than 1,000 nodes: a convex
-    tabulated penalty (a no-trade band, no jump) and one with a jump."""
-    from kylepen import TabulatedPenalty, solve_demand_numeric
+    """Exactly solved schedules with more than 1,000 nodes: tabulated
+    penalties with 2,001 and 1,501 points.  The first is concave, so the
+    demand jumps over every kink; the second is convex, so the demand is flat
+    at every kink, and it jumps at 0.3."""
+    from kylepen import solve_demand
 
-    penalties = [
-        TabulatedPenalty([[0.0, 0.0, False], [0.25, 0.025, False], [0.5, 0.1, False], [1.0, 0.4, False]]),
-        TabulatedPenalty([[0.0, 0.0, False], [0.3, 0.03, True, 0.08], [1.0, 0.15, False]]),
-    ]
-    schedules = [solve_demand_numeric(p) for p in penalties]
+    xs = np.linspace(0.0, 1.0, 2001)
+    concave = TabulatedPenalty([[x, 0.3 * x - 0.1 * x * x, False] for x in xs.tolist()])
+    pts = [[x, 0.2 * x * x + (0.05 if x > 0.3 else 0.0), False] for x in np.linspace(0.0, 1.0, 1501).tolist()]
+    assert pts[450][0] == 0.3
+    pts[450] = [0.3, 0.018, True, 0.068]
+    jump = TabulatedPenalty(pts)
+    schedules = [solve_demand(p) for p in (concave, jump)]
     assert all(len(X.nodes) > 1000 for X in schedules)
+    assert np.any(schedules[1].right > schedules[1].left)
     return schedules

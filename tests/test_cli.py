@@ -119,6 +119,26 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--penalty", QUAD, "--support", "nan,0,1"],
+        ["mc-validate", "--penalty", QUAD, "--n", "0"],
+        ["metrics", "--penalty", QUAD, "--mc", "1"],
+        ["frontier", "--fmin", "nan"],
+        ["frontier", "--grid", "0"],
+        ["surface", "--grid", "0"],
+    ],
+    ids=["nan-support", "mc-no-draws", "metrics-one-draw", "nan-floor", "frontier-grid-0", "surface-grid-0"],
+)
+def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "concatenate" not in err
+
+
 def test_surface_command(tmp_path):
     code = main(["surface", "--grid", "40", "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -32,6 +32,31 @@ def test_constant_above_threshold():
     assert pen.breakpoints() == (0.1,)
 
 
+@pytest.mark.parametrize(
+    "pen",
+    [
+        kp.ZeroPenalty(),
+        kp.ConstantNonzeroPenalty(0.2),
+        kp.ConstantAbovePenalty(0.2, 0.1),
+        kp.ConstantAbovePenalty(0.2, 1.5),
+        kp.LinearPenalty(0.3),
+        kp.QuadraticPenalty(0.125),
+        kp.OptimalCanonicalPenalty(0.2),
+        kp.SurfaceOptimalPenalty(0.5, 0.75),
+        kp.SurfaceOptimalPenalty(0.5, 1.0),
+        kp.TabulatedPenalty([[0.0, 0.0, True, 0.1], [0.4, 0.2, False], [0.7, 0.3, True, 0.5], [1.2, 0.6, False]]),
+    ],
+)
+def test_pieces_describe_the_penalty(pen):
+    rows = pen.pieces()
+    assert rows[0][0] == 0.0 and rows[-1][1] == 1.0
+    assert all(b == a_next for (_, b, *_), (a_next, *_) in zip(rows, rows[1:]))
+    for a, b, c0, c1, c2, jump in rows:
+        x = np.linspace(a, b, 9)[1:]  # C is the polynomial on (a, b]
+        assert np.allclose(pen.value(x), c0 + c1 * x + c2 * x * x, rtol=0.0, atol=1e-15)
+        assert jump == (pen.right_limit(a) > pen.value(a) + 1e-15)
+
+
 def test_linear_and_quadratic():
     assert kp.LinearPenalty(0.3).value(0.5) == pytest.approx(0.15)
     assert kp.QuadraticPenalty(0.125).value(0.8) == pytest.approx(0.08)
