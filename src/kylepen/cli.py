@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .penalties import penalty_from_json, validate
 from .equilibrium import solve_equilibrium, verify_equilibrium
 from .metrics import compute_metrics, monte_carlo_metrics
 from .frontier import fmin_efficient_frontier, sample_surface
@@ -31,6 +30,8 @@ from .penalties import (
     OptimalCanonicalPenalty,
     QuadraticPenalty,
     SurfaceOptimalPenalty,
+    penalty_from_json,
+    validate,
 )
 
 OUT_DIR_ENV = "KYLEPEN_OUT_DIR"
@@ -39,7 +40,42 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# spec tables of `kylepen figures`
+EQUILIBRIUM_FIGURES = (  # (directory, penalty, description)
+    (
+        "quadratic_equilibrium",
+        QuadraticPenalty(0.125),
+        "demand and price under a quadratic penalty with alpha = 0.125",
+    ),
+    ("linear_equilibrium", LinearPenalty(0.3), "demand and price under a linear penalty with alpha = 0.3"),
+    (
+        "constant_above_equilibrium",
+        ConstantAbovePenalty(0.2, 0.1),
+        "demand and price under a constant penalty on trades above 0.1",
+    ),
+)
+ENVELOPE_K = 0.2
+ENVELOPE_MEMBERS = (  # (label, penalty), sorted by label
+    ("constant_above_0.1", ConstantAbovePenalty(ENVELOPE_K, 0.1)),
+    ("constant_nonzero", ConstantNonzeroPenalty(ENVELOPE_K)),
+    ("envelope", OptimalCanonicalPenalty(ENVELOPE_K)),
+)
+LOCUS_SWEEPS = (  # (family, constructor, upper end of an 81-point parameter range from 0)
+    ("quadratic", QuadraticPenalty, 4.0),
+    ("linear", LinearPenalty, 1.0),
+    ("constant_nonzero", ConstantNonzeroPenalty, 0.5),
+    ("optimal_canonical", OptimalCanonicalPenalty, 0.5),
+)
 FIGURE_FLOORS = (0.0, 0.02, 0.05, 0.07)  # expected-fine floors of the frontier figures
+SURFACE_PATTERNS = (("threshold", (0.75, 0.75)), ("two_kink", (0.5, 0.75)))  # (tag, (v1, v2))
+GAUSSIAN_CASES = (  # (directory, penalty, description)
+    ("gaussian_quadratic", QuadraticPenalty(2.0), "quadratic penalty, normal noise"),
+    (
+        "gaussian_constant_above",
+        ConstantAbovePenalty(1.0, 0.5),
+        "constant penalty on trades above 0.5, normal noise",
+    ),
+)
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +101,18 @@ def _parse_support(text: str) -> SupportSpec:
     return SupportSpec(*parts)
 
 
+def _solve_on_support(args, method: str = "auto"):
+    """Load --penalty and solve it, rescaled to the normalized model when
+    --support names a non-unit support; returns (penalty, spec or None,
+    normalized penalty, solution)."""
+    penalty = _load_penalty(args.penalty)
+    spec = _parse_support(args.support) if args.support else None
+    if spec is not None and spec.is_identity:
+        spec = None
+    penalty0 = penalty if spec is None else normalize_penalty(penalty, spec)
+    return penalty, spec, penalty0, solve_equilibrium(penalty0, method=method)
+
+
 def _out_dir(args) -> Path:
     base = args.out or os.environ.get(OUT_DIR_ENV) or "."
     p = Path(base)
@@ -80,39 +128,55 @@ def _write_csv(path: Path, header, rows):
             w.writerow([f"{x:.12g}" if isinstance(x, float) else x for x in row])
 
 
-def _write_json(path: Path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: Path, obj) -> str:
+    """Write obj as sorted, indented JSON; returns the text for echoing."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
+    return text
+
+
+def _write_curves(out: Path, sol, samples: int, tag: str = ""):
+    """demand[_tag].csv and price[_tag].csv of an exact solution."""
+    suffix = f"_{tag}" if tag else ""
+    _write_csv(out / f"demand{suffix}.csv", ["v", "X"], sol.schedule.sample_rows(samples))
+    _write_csv(out / f"price{suffix}.csv", ["d", "P"], sol.price.sample_rows(samples))
+
+
+def _write_gaussian_curves(out: Path, sol):
+    """demand.csv and price.csv of a Gaussian solution on its grid."""
+    pts = sol.grid.points.tolist()
+    _write_csv(out / "demand.csv", ["v", "X"], zip(pts, sol.X.tolist()))
+    _write_csv(out / "price.csv", ["d", "P"], zip(pts, sol.P.tolist()))
+
+
+def _intervals(est) -> dict:
+    """The {"estimate", "ci99"} block of each Monte Carlo metric."""
+    blocks = {}
+    for name in ("G", "S", "Pi_N", "F"):
+        e = getattr(est, name)
+        blocks[name] = {"estimate": e.value, "ci99": [e.ci_lo, e.ci_hi]}
+    return blocks
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_solve(args) -> int:
-    penalty = _load_penalty(args.penalty)
-    spec = _parse_support(args.support) if args.support else None
-    if spec is not None and not spec.is_identity:
-        penalty0 = normalize_penalty(penalty, spec)
-    else:
-        penalty0 = penalty
-    sol = solve_equilibrium(penalty0, method=args.method)
+    penalty, spec, penalty0, sol = _solve_on_support(args, method=args.method)
     out = _out_dir(args)
-
-    rows = sol.schedule.sample_rows(args.samples)
-    price_rows = sol.price.sample_rows(args.samples)
+    _write_curves(out, sol, args.samples)
     meta = {
         "penalty": penalty.to_json(),
         "x_max": sol.schedule.x_max,
         "solver": sol.meta,
     }
-    if spec is not None and not spec.is_identity:
+    if spec is not None:
         den = denormalize_solution(sol, spec)
         meta["support"] = {"a": spec.a, "b": spec.b, "c": spec.c}
         meta["normalized_penalty"] = penalty0.to_json()
         vs = np.linspace(spec.b, spec.c, args.samples)
-        rows_orig = [(float(v), float(den.demand(v))) for v in vs]
-        _write_csv(out / "demand_original_support.csv", ["v", "X"], rows_orig)
+        rows = zip(vs.tolist(), den.demand(vs).tolist())
+        _write_csv(out / "demand_original_support.csv", ["v", "X"], rows)
     if args.verify:
         report = verify_equilibrium(sol)
         meta["verification"] = {
@@ -121,61 +185,32 @@ def _cmd_solve(args) -> int:
             "break_even": report.break_even,
             "details": report.details,
         }
-    _write_csv(out / "demand.csv", ["v", "X"], rows)
-    _write_csv(out / "price.csv", ["d", "P"], price_rows)
     _write_json(out / "meta.json", meta)
     return EXIT_OK
 
 
 def _cmd_metrics(args) -> int:
-    penalty = _load_penalty(args.penalty)
-    spec = _parse_support(args.support) if args.support else None
-    penalty0 = (
-        normalize_penalty(penalty, spec)
-        if spec is not None and not spec.is_identity
-        else penalty
-    )
-    sol = solve_equilibrium(penalty0)
-    m = compute_metrics(sol.schedule)
-    payload = {"penalty": penalty.to_json(), "closed_form": m.as_dict()}
-    if spec is not None and not spec.is_identity:
-        den = denormalize_solution(sol, spec)
+    penalty, spec, _, sol = _solve_on_support(args)
+    payload = {"penalty": penalty.to_json(), "closed_form": compute_metrics(sol.schedule).as_dict()}
+    if spec is not None:
         payload["support"] = {"a": spec.a, "b": spec.b, "c": spec.c}
-        payload["original_support_metrics"] = den.metrics().as_dict()
+        payload["original_support_metrics"] = denormalize_solution(sol, spec).metrics().as_dict()
     if args.mc:
         est = monte_carlo_metrics(sol, n=args.mc, seed=args.seed)
-        payload["monte_carlo"] = {
-            "n": est.n,
-            "seed": est.seed,
-            **{
-                name: {"estimate": e.value, "ci99": [e.ci_lo, e.ci_hi]}
-                for name, e in (
-                    ("G", est.G),
-                    ("S", est.S),
-                    ("Pi_N", est.Pi_N),
-                    ("F", est.F),
-                )
-            },
-        }
-    out = _out_dir(args)
-    _write_json(out / "metrics.json", payload)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+        payload["monte_carlo"] = {"n": est.n, "seed": est.seed, **_intervals(est)}
+    sys.stdout.write(_write_json(_out_dir(args) / "metrics.json", payload))
     return EXIT_OK
 
 
 def _cmd_frontier(args) -> int:
     rows = fmin_efficient_frontier(args.fmin, grid=args.grid)
-    out = _out_dir(args)
-    _write_csv(out / "frontier.csv", ["G", "S", "v1", "v2", "F"], rows)
+    _write_csv(_out_dir(args) / "frontier.csv", ["G", "S", "v1", "v2", "F"], rows)
     return EXIT_OK
 
 
 def _cmd_surface(args) -> int:
-    v1, v2, g, s, f = sample_surface(args.grid)
-    rows = list(zip(map(float, v1), map(float, v2), map(float, g), map(float, s), map(float, f)))
-    out = _out_dir(args)
-    _write_csv(out / "surface.csv", ["v1", "v2", "G", "S", "F"], rows)
+    rows = zip(*(column.tolist() for column in sample_surface(args.grid)))
+    _write_csv(_out_dir(args) / "surface.csv", ["v1", "v2", "G", "S", "F"], rows)
     return EXIT_OK
 
 
@@ -184,33 +219,18 @@ def _cmd_mc_validate(args) -> int:
     sol = solve_equilibrium(penalty)
     m = compute_metrics(sol.schedule)
     est = monte_carlo_metrics(sol, n=args.n, seed=args.seed)
-    checks = {}
-    ok = True
-    for name, closed, e in (
-        ("G", m.G, est.G),
-        ("S", m.S, est.S),
-        ("Pi_N", m.Pi_N, est.Pi_N),
-        ("F", m.F, est.F),
-    ):
-        inside = bool(e.contains(closed))
-        ok &= inside
-        checks[name] = {
-            "closed_form": closed,
-            "estimate": e.value,
-            "ci99": [e.ci_lo, e.ci_hi],
-            "inside": inside,
-        }
+    checks = _intervals(est)
+    for name, check in checks.items():
+        check["closed_form"] = closed = getattr(m, name)
+        check["inside"] = bool(getattr(est, name).contains(closed))
     payload = {
         "penalty": penalty.to_json(),
         "n": est.n,
         "seed": est.seed,
-        "all_inside": ok,
+        "all_inside": all(check["inside"] for check in checks.values()),
         "checks": checks,
     }
-    out = _out_dir(args)
-    _write_json(out / "mc_validate.json", payload)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_write_json(_out_dir(args) / "mc_validate.json", payload))
     return EXIT_OK
 
 
@@ -225,9 +245,7 @@ def _cmd_gaussian(args) -> int:
         max_iter=args.max_iter,
     )
     out = _out_dir(args)
-    pts = grid.points
-    _write_csv(out / "demand.csv", ["v", "X"], [(float(v), float(x)) for v, x in zip(pts, sol.X)])
-    _write_csv(out / "price.csv", ["d", "P"], [(float(d), float(p)) for d, p in zip(pts, sol.P)])
+    _write_gaussian_curves(out, sol)
     _write_json(
         out / "meta.json",
         {
@@ -244,176 +262,73 @@ def _cmd_gaussian(args) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------------------
-# figure-reproduction data
-# ----------------------------------------------------------------------
-def _figure_equilibrium(out: Path, name: str, penalty, description: str, samples: int):
-    sub = out / name
-    sub.mkdir(parents=True, exist_ok=True)
-    sol = solve_equilibrium(penalty)
-    _write_csv(sub / "demand.csv", ["v", "X"], sol.schedule.sample_rows(samples))
-    _write_csv(sub / "price.csv", ["d", "P"], sol.price.sample_rows(samples))
-    _write_json(
-        sub / "manifest.json",
-        {"figure": description, "penalty": penalty.to_json(), "x_max": sol.schedule.x_max},
-    )
-    return name
-
-
 def _cmd_figures(args) -> int:
     out = _out_dir(args)
-    samples = args.samples
+    grid = GaussianGrid(L=args.gaussian_l, n=args.gaussian_n)
     produced = []
 
-    produced.append(
-        _figure_equilibrium(
-            out,
-            "quadratic_equilibrium",
-            QuadraticPenalty(0.125),
-            "demand and price under a quadratic penalty with alpha = 0.125",
-            samples,
-        )
-    )
-    produced.append(
-        _figure_equilibrium(
-            out,
-            "linear_equilibrium",
-            LinearPenalty(0.3),
-            "demand and price under a linear penalty with alpha = 0.3",
-            samples,
-        )
-    )
-    produced.append(
-        _figure_equilibrium(
-            out,
-            "constant_above_equilibrium",
-            ConstantAbovePenalty(0.2, 0.1),
-            "demand and price under a constant penalty on trades above 0.1",
-            samples,
-        )
-    )
-
-    # envelope and members of the fine-optimal penalty class
-    sub = out / "optimal_penalty_envelope"
-    sub.mkdir(parents=True, exist_ok=True)
-    xs = np.linspace(0.0, 1.0, samples)
-    K = 0.2
-    members = {
-        "envelope": OptimalCanonicalPenalty(K),
-        "constant_nonzero": ConstantNonzeroPenalty(K),
-        "constant_above_0.1": ConstantAbovePenalty(K, 0.1),
-    }
-    rows = []
-    for label, pen in sorted(members.items()):
-        for x in xs:
-            rows.append((label, float(x), float(pen.value(x))))
-    _write_csv(sub / "penalties.csv", ["member", "x", "C"], rows)
-    _write_json(
-        sub / "manifest.json",
-        {
-            "figure": "members of the class of fine-optimal penalties at level K = 0.2",
-            "K": K,
-        },
-    )
-    produced.append("optimal_penalty_envelope")
-
-    # locus of (S, |G|) for four one-parameter penalty families
-    sub = out / "penalty_family_locus"
-    sub.mkdir(parents=True, exist_ok=True)
-    rows = []
-    sweeps = [
-        ("quadratic", [QuadraticPenalty(a) for a in np.linspace(0.0, 4.0, 81)]),
-        ("linear", [LinearPenalty(a) for a in np.linspace(0.0, 1.0, 81)]),
-        ("constant_nonzero", [ConstantNonzeroPenalty(k) for k in np.linspace(0.0, 0.5, 81)]),
-        ("optimal_canonical", [OptimalCanonicalPenalty(k) for k in np.linspace(0.0, 0.5, 81)]),
-    ]
-    for family, pens in sweeps:
-        for pen in pens:
-            m = compute_metrics(solve_equilibrium(pen).schedule)
-            rows.append((family, float(m.S), float(-m.G)))
-    _write_csv(sub / "locus.csv", ["family", "S", "abs_G"], rows)
-    _write_json(
-        sub / "manifest.json",
-        {"figure": "locus of (S, |G|) swept by four penalty families"},
-    )
-    produced.append("penalty_family_locus")
-
-    # constrained frontiers and their generators: one frontier per floor,
-    # dropped before the next, so that no frontier outlives its two files
-    frontier_dir = out / "constrained_frontiers"
-    index_dir = out / "index_curves"
-    frontier_dir.mkdir(parents=True, exist_ok=True)
-    index_dir.mkdir(parents=True, exist_ok=True)
-    for f_min in FIGURE_FLOORS:
-        rows = fmin_efficient_frontier(f_min, grid=args.grid)
-        _write_csv(
-            frontier_dir / f"frontier_fmin_{f_min:.2f}.csv",
-            ["G", "S", "v1", "v2", "F"],
-            rows,
-        )
-        _write_csv(
-            index_dir / f"indices_fmin_{f_min:.2f}.csv",
-            ["abs_G", "v1", "v2"],
-            [(-g, v1, v2) for g, s, v1, v2, f in rows],
-        )
-    _write_json(
-        frontier_dir / "manifest.json",
-        {
-            "figure": "efficient (|G|, S) frontiers under expected-fine floors",
-            "f_min_values": list(FIGURE_FLOORS),
-        },
-    )
-    produced.append("constrained_frontiers")
-    _write_json(
-        index_dir / "manifest.json",
-        {"figure": "generator indices (v1, v2) along the constrained frontiers"},
-    )
-    produced.append("index_curves")
-
-    # price comparison of a threshold schedule vs a two-kink schedule
-    sub = out / "price_patterns_surface"
-    sub.mkdir(parents=True, exist_ok=True)
-    for tag, (v1, v2) in (("threshold", (0.75, 0.75)), ("two_kink", (0.5, 0.75))):
-        sol = solve_equilibrium(SurfaceOptimalPenalty(v1, v2))
-        _write_csv(sub / f"demand_{tag}.csv", ["v", "X"], sol.schedule.sample_rows(samples))
-        _write_csv(sub / f"price_{tag}.csv", ["d", "P"], sol.price.sample_rows(samples))
-    _write_json(
-        sub / "manifest.json",
-        {
-            "figure": "price patterns of the budget-efficient schedules",
-            "generators": {"threshold": [0.75, 0.75], "two_kink": [0.5, 0.75]},
-        },
-    )
-    produced.append("price_patterns_surface")
-
-    # normal-noise counterparts
-    gauss_cases = [
-        ("gaussian_quadratic", QuadraticPenalty(2.0), "quadratic penalty, normal noise"),
-        (
-            "gaussian_constant_above",
-            ConstantAbovePenalty(1.0, 0.5),
-            "constant penalty on trades above 0.5, normal noise",
-        ),
-    ]
-    grid = GaussianGrid(L=args.gaussian_l, n=args.gaussian_n)
-    for name, pen, desc in gauss_cases:
+    def figure(name: str, manifest: dict) -> Path:
+        """Make the figure's directory, write its manifest and list it."""
         sub = out / name
         sub.mkdir(parents=True, exist_ok=True)
-        gsol = gaussian_fixed_point(pen, grid=grid)
-        pts = grid.points
-        _write_csv(sub / "demand.csv", ["v", "X"], [(float(v), float(x)) for v, x in zip(pts, gsol.X)])
-        _write_csv(sub / "price.csv", ["d", "P"], [(float(d), float(p)) for d, p in zip(pts, gsol.P)])
-        _write_json(
-            sub / "manifest.json",
-            {
-                "figure": desc,
-                "penalty": pen.to_json(),
-                "iterations": gsol.iterations,
-                "residual": gsol.residual,
-                "converged": gsol.converged,
-            },
-        )
+        _write_json(sub / "manifest.json", manifest)
         produced.append(name)
+        return sub
+
+    for name, penalty, description in EQUILIBRIUM_FIGURES:
+        sol = solve_equilibrium(penalty)
+        manifest = {"figure": description, "penalty": penalty.to_json(), "x_max": sol.schedule.x_max}
+        _write_curves(figure(name, manifest), sol, args.samples)
+
+    sub = figure(
+        "optimal_penalty_envelope",
+        {"figure": f"members of the class of fine-optimal penalties at level K = {ENVELOPE_K}", "K": ENVELOPE_K},
+    )
+    xs = np.linspace(0.0, 1.0, args.samples)
+    rows = [(label, float(x), float(pen.value(x))) for label, pen in ENVELOPE_MEMBERS for x in xs]
+    _write_csv(sub / "penalties.csv", ["member", "x", "C"], rows)
+
+    sub = figure("penalty_family_locus", {"figure": "locus of (S, |G|) swept by four penalty families"})
+    rows = []
+    for family, make, top in LOCUS_SWEEPS:
+        for p in np.linspace(0.0, top, 81):
+            m = compute_metrics(solve_equilibrium(make(p)).schedule)
+            rows.append((family, float(m.S), float(-m.G)))
+    _write_csv(sub / "locus.csv", ["family", "S", "abs_G"], rows)
+
+    # one frontier per floor, dropped before the next, so that no frontier
+    # outlives its two files
+    frontier_dir = figure(
+        "constrained_frontiers",
+        {"figure": "efficient (|G|, S) frontiers under expected-fine floors", "f_min_values": list(FIGURE_FLOORS)},
+    )
+    index_dir = figure("index_curves", {"figure": "generator indices (v1, v2) along the constrained frontiers"})
+    for f_min in FIGURE_FLOORS:
+        rows = fmin_efficient_frontier(f_min, grid=args.grid)
+        _write_csv(frontier_dir / f"frontier_fmin_{f_min:.2f}.csv", ["G", "S", "v1", "v2", "F"], rows)
+        index_rows = [(-g, v1, v2) for g, s, v1, v2, f in rows]
+        _write_csv(index_dir / f"indices_fmin_{f_min:.2f}.csv", ["abs_G", "v1", "v2"], index_rows)
+
+    sub = figure(
+        "price_patterns_surface",
+        {
+            "figure": "price patterns of the budget-efficient schedules",
+            "generators": {tag: list(v) for tag, v in SURFACE_PATTERNS},
+        },
+    )
+    for tag, (v1, v2) in SURFACE_PATTERNS:
+        _write_curves(sub, solve_equilibrium(SurfaceOptimalPenalty(v1, v2)), args.samples, tag)
+
+    for name, penalty, description in GAUSSIAN_CASES:
+        sol = gaussian_fixed_point(penalty, grid=grid)
+        manifest = {
+            "figure": description,
+            "penalty": penalty.to_json(),
+            "iterations": sol.iterations,
+            "residual": sol.residual,
+            "converged": sol.converged,
+        }
+        _write_gaussian_curves(figure(name, manifest), sol)
 
     _write_json(out / "manifest.json", {"figures": produced})
     return EXIT_OK

@@ -294,6 +294,8 @@ class PriceFunction:
     def sample_rows(self, n: int = 1001):
         """(d, P(d)) rows on a uniform grid over the full pricing domain,
         with duplicated rows at price jumps."""
+        if n < 2:
+            raise DomainError("need at least 2 sample points")
         xm = self.x_max
         lo, hi = -(1.0 + xm) - 0.25, 1.0 + xm + 0.25
         ds = np.linspace(lo, hi, n)

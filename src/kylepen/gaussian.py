@@ -39,8 +39,8 @@ class GaussianGrid:
     n: int = 801
 
     def __post_init__(self):
-        if self.L <= 0 or self.n < 11 or self.n % 2 == 0:
-            raise DomainError("need L > 0 and odd n >= 11")
+        if not (np.isfinite(self.L) and self.L > 0) or self.n < 11 or self.n % 2 == 0:
+            raise DomainError("need finite L > 0 and odd n >= 11")
 
     @property
     def points(self) -> np.ndarray:
@@ -200,6 +200,10 @@ def gaussian_fixed_point(
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be a finite positive number")
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1")
     if grid is None:
         grid = GaussianGrid()
     v = grid.points

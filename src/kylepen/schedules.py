@@ -266,6 +266,8 @@ class DemandSchedule:
     def sample_rows(self, n: int = 1001):
         """(v, X(v)) rows on a uniform grid with duplicated rows at jumps so
         that plots render verticals faithfully."""
+        if n < 2:
+            raise DomainError("need at least 2 sample points")
         grid = np.linspace(-1.0, 1.0, n)
         rows = list(zip(grid.tolist(), self.evaluate(grid).tolist()))
         for k in np.flatnonzero(self.right > self.left):

@@ -128,8 +128,33 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         ["frontier", "--fmin", "nan"],
         ["frontier", "--grid", "0"],
         ["surface", "--grid", "0"],
+        ["gaussian", "--penalty", QUAD, "--grid-l", "nan"],
+        ["gaussian", "--penalty", QUAD, "--grid-l", "inf"],
+        ["gaussian", "--penalty", QUAD, "--tol", "nan"],
+        ["gaussian", "--penalty", QUAD, "--tol", "-1"],
+        ["gaussian", "--penalty", QUAD, "--max-iter", "0"],
+        ["figures", "--gaussian-l", "nan"],
+        ["solve", "--penalty", QUAD, "--samples", "0"],
+        ["solve", "--penalty", QUAD, "--samples", "1"],
+        ["figures", "--samples", "0"],
     ],
-    ids=["nan-support", "mc-no-draws", "metrics-one-draw", "nan-floor", "frontier-grid-0", "surface-grid-0"],
+    ids=[
+        "nan-support",
+        "mc-no-draws",
+        "metrics-one-draw",
+        "nan-floor",
+        "frontier-grid-0",
+        "surface-grid-0",
+        "nan-grid-l",
+        "inf-grid-l",
+        "nan-tol",
+        "negative-tol",
+        "max-iter-0",
+        "figures-nan-gaussian-l",
+        "samples-0",
+        "samples-1",
+        "figures-samples-0",
+    ],
 )
 def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path)])
@@ -183,6 +208,28 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+CURVES = ("demand.csv", "price.csv")
+FLOORS = ("0.00", "0.02", "0.05", "0.07")
+# every figure directory of `kylepen figures`, in manifest order, with its CSV files
+FIGURE_FILES = {
+    "quadratic_equilibrium": CURVES,
+    "linear_equilibrium": CURVES,
+    "constant_above_equilibrium": CURVES,
+    "optimal_penalty_envelope": ("penalties.csv",),
+    "penalty_family_locus": ("locus.csv",),
+    "constrained_frontiers": tuple(f"frontier_fmin_{f}.csv" for f in FLOORS),
+    "index_curves": tuple(f"indices_fmin_{f}.csv" for f in FLOORS),
+    "price_patterns_surface": (
+        "demand_threshold.csv",
+        "demand_two_kink.csv",
+        "price_threshold.csv",
+        "price_two_kink.csv",
+    ),
+    "gaussian_quadratic": CURVES,
+    "gaussian_constant_above": CURVES,
+}
+
+
 def test_figures_smoke(tmp_path):
     code = main(
         [
@@ -199,8 +246,7 @@ def test_figures_smoke(tmp_path):
     )
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    for name in manifest["figures"]:
-        sub = tmp_path / name
-        assert sub.is_dir()
-        assert (sub / "manifest.json").exists()
-        assert any(p.suffix == ".csv" for p in sub.iterdir())
+    assert manifest["figures"] == list(FIGURE_FILES)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*FIGURE_FILES, "manifest.json"])
+    for name, files in FIGURE_FILES.items():
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted([*files, "manifest.json"])
