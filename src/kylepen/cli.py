@@ -263,8 +263,10 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    out = _out_dir(args)
+    if args.grid < 2 or args.samples < 2:
+        raise DomainError("--grid and --samples must be at least 2")
     grid = GaussianGrid(L=args.gaussian_l, n=args.gaussian_n)
+    out = _out_dir(args)
     produced = []
 
     def figure(name: str, manifest: dict) -> Path:
@@ -285,7 +287,7 @@ def _cmd_figures(args) -> int:
         {"figure": f"members of the class of fine-optimal penalties at level K = {ENVELOPE_K}", "K": ENVELOPE_K},
     )
     xs = np.linspace(0.0, 1.0, args.samples)
-    rows = [(label, float(x), float(pen.value(x))) for label, pen in ENVELOPE_MEMBERS for x in xs]
+    rows = [(label, x, c) for label, pen in ENVELOPE_MEMBERS for x, c in zip(xs.tolist(), pen.value(xs).tolist())]
     _write_csv(sub / "penalties.csv", ["member", "x", "C"], rows)
 
     sub = figure("penalty_family_locus", {"figure": "locus of (S, |G|) swept by four penalty families"})

@@ -33,14 +33,15 @@ def _normal_pdf(t):
 @dataclass(frozen=True)
 class GaussianGrid:
     """Symmetric uniform grids for v, x and the order flow d, truncated at
-    +-L standard deviations."""
+    +-L standard deviations.  Below 1 the grid drops most of the normal mass;
+    past 38 the normal density underflows double precision."""
 
     L: float = 5.0
     n: int = 801
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0) or self.n < 11 or self.n % 2 == 0:
-            raise DomainError("need finite L > 0 and odd n >= 11")
+        if not 1.0 <= self.L <= 38.0 or self.n < 11 or self.n % 2 == 0:
+            raise DomainError("need 1 <= L <= 38 and odd n >= 11")
 
     @property
     def points(self) -> np.ndarray:

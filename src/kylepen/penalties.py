@@ -2,14 +2,15 @@
 
 A penalty is a symmetric, non-decreasing, left-continuous cost schedule on
 [-1, 1] with C(0) = 0.  Closed-form families used throughout the package are
-provided alongside a generic tabulated form.  Penalties are stored on [0, 1]
-only; negative arguments are mirrored, which enforces symmetry by
-construction.
+provided alongside a generic tabulated form.  Every kind is stored as
+quadratic rows on [0, inf); negative arguments are mirrored, which enforces
+symmetry by construction.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -30,19 +31,47 @@ def _on_unit(rows) -> list[tuple]:
     return [(a, min(b, 1.0), *rest) for a, b, *rest in rows if a < min(b, 1.0)]
 
 
+def _horner(c0, c1, c2, x):
+    """c0 + c1 x + c2 x^2, the one polynomial form every row is evaluated in."""
+    return c0 + x * (c1 + x * c2)
+
+
 class Penalty:
-    """Base class. Subclasses implement ``_value_pos`` on [0, 1]."""
+    """Base class. Each kind describes itself once, by ``_rows``; evaluation,
+    ``pieces`` and the checks below derive from those rows."""
 
     kind = "base"
 
-    def _value_pos(self, x: np.ndarray) -> np.ndarray:
+    def _rows(self) -> list[tuple]:
+        """C on [0, inf) as rows ``(a, b, c0, c1, c2, jump)``, the last one
+        unbounded; past 1 closed forms continue their formula."""
         raise NotImplementedError
+
+    @cached_property
+    def _table(self):
+        """Row starts and coefficient arrays, with a leading zero row for C(0) = 0."""
+        rows = self._rows()
+        a = np.array([r[0] for r in rows])
+        c0, c1, c2 = np.array([(0.0, 0.0, 0.0)] + [r[2:5] for r in rows]).T
+        return a, c0, c1, c2
+
+    def _at(self, x, side="left"):
+        """C at x >= 0 from the rows; the right limit when side="right"."""
+        a, c0, c1, c2 = self._table
+        k = np.searchsorted(a, x, side=side)
+        return _horner(c0[k], c1[k], c2[k], x)
 
     def value(self, x):
         """Pointwise C(|x|), left-continuous at jumps. Domain |x| <= 1."""
         pos, scalar = _as_pos_array(x)
-        out = self._value_pos(np.minimum(pos, 1.0))
+        out = self._at(np.minimum(pos, 1.0))
         return float(out) if scalar else out
+
+    def value_extended(self, x):
+        """C(|x|) without the [-1, 1] restriction (the last row continued)."""
+        arr = np.abs(np.asarray(x, dtype=float))
+        out = self._at(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def pieces(self) -> list[tuple]:
         """C on [0, 1] as rows ``(a, b, c0, c1, c2, jump)``.
@@ -51,25 +80,15 @@ class Penalty:
         from 0 to 1, and ``jump`` says that C jumps up at a (C(0) = 0 always,
         so a first row with c0 > 0 jumps at the origin).
         """
-        raise NotImplementedError
+        return _on_unit(self._rows())
 
     def right_limit(self, x: float) -> float:
         """lim_{t -> x+} C(t) for 0 <= x < 1. Equals value(x) when continuous."""
-        if x >= 1.0:
-            return float(self._value_pos(np.asarray(1.0)))
-        for a, b, c0, c1, c2, _ in self.pieces():
-            if a <= x < b:
-                return c0 + c1 * x + c2 * x * x
+        return float(self._at(float(x), side="right"))
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points in [0, 1) where C jumps or kinks; used to split argmax searches."""
         return tuple(a for a, _, _, _, _, jump in self.pieces() if a > 0.0 or jump)
-
-    def value_extended(self, x):
-        """Family formula evaluated without the [-1, 1] restriction."""
-        arr = np.asarray(x, dtype=float)
-        out = self._value_pos(np.abs(arr))
-        return float(out) if arr.ndim == 0 else out
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -81,11 +100,8 @@ class Penalty:
 class ZeroPenalty(Penalty):
     kind = "zero"
 
-    def _value_pos(self, x):
-        return np.zeros_like(x)
-
-    def pieces(self):
-        return [(0.0, 1.0, 0.0, 0.0, 0.0, False)]
+    def _rows(self):
+        return [(0.0, math.inf, 0.0, 0.0, 0.0, False)]
 
     def to_json(self):
         return {"kind": "zero"}
@@ -101,11 +117,8 @@ class ConstantNonzeroPenalty(Penalty):
             raise DomainError("K must be nonnegative")
         self.K = float(K)
 
-    def _value_pos(self, x):
-        return np.where(x > 0, self.K, 0.0)
-
-    def pieces(self):
-        return [(0.0, 1.0, self.K, 0.0, 0.0, self.K > 0.0)]
+    def _rows(self):
+        return [(0.0, math.inf, self.K, 0.0, 0.0, self.K > 0.0)]
 
     def to_json(self):
         return {"kind": "constant_nonzero", "K": self.K}
@@ -122,11 +135,8 @@ class ConstantAbovePenalty(Penalty):
         self.K = float(K)
         self.x0 = float(x0)
 
-    def _value_pos(self, x):
-        return np.where(x > self.x0, self.K, 0.0)
-
-    def pieces(self):
-        return _on_unit([(0.0, self.x0, 0.0, 0.0, 0.0, False), (self.x0, 1.0, self.K, 0.0, 0.0, self.K > 0.0)])
+    def _rows(self):
+        return [(0.0, self.x0, 0.0, 0.0, 0.0, False), (self.x0, math.inf, self.K, 0.0, 0.0, self.K > 0.0)]
 
     def to_json(self):
         return {"kind": "constant_above", "K": self.K, "x0": self.x0}
@@ -140,11 +150,8 @@ class LinearPenalty(Penalty):
             raise DomainError("alpha must be nonnegative")
         self.alpha = float(alpha)
 
-    def _value_pos(self, x):
-        return self.alpha * x
-
-    def pieces(self):
-        return [(0.0, 1.0, 0.0, self.alpha, 0.0, False)]
+    def _rows(self):
+        return [(0.0, math.inf, 0.0, self.alpha, 0.0, False)]
 
     def to_json(self):
         return {"kind": "linear", "alpha": self.alpha}
@@ -158,11 +165,8 @@ class QuadraticPenalty(Penalty):
             raise DomainError("alpha must be nonnegative")
         self.alpha = float(alpha)
 
-    def _value_pos(self, x):
-        return self.alpha * x * x
-
-    def pieces(self):
-        return [(0.0, 1.0, 0.0, 0.0, self.alpha, False)]
+    def _rows(self):
+        return [(0.0, math.inf, 0.0, 0.0, self.alpha, False)]
 
     def to_json(self):
         return {"kind": "quadratic", "alpha": self.alpha}
@@ -182,13 +186,9 @@ class OptimalCanonicalPenalty(Penalty):
         self.K = float(K)
         self.cutoff = math.sqrt(2.0 * self.K)
 
-    def _value_pos(self, x):
+    def _rows(self):
         s = self.cutoff
-        return np.where(x <= s, x * (s - 0.5 * x), self.K)
-
-    def pieces(self):
-        s = self.cutoff
-        return _on_unit([(0.0, s, 0.0, s, -0.5, False), (s, 1.0, self.K, 0.0, 0.0, False)])
+        return [(0.0, s, 0.0, s, -0.5, False), (s, math.inf, self.K, 0.0, 0.0, False)]
 
     def to_json(self):
         return {"kind": "optimal_canonical", "K": self.K}
@@ -205,14 +205,9 @@ class SurfaceOptimalPenalty(Penalty):
         self.v1 = float(v1)
         self.v2 = float(v2)
 
-    def _value_pos(self, x):
-        cap = 0.5 * self.v1 * self.v2
-        inner = self.v1 * x - (self.v1 / (2.0 * self.v2)) * x * x
-        return np.where(x <= self.v2, inner, cap)
-
-    def pieces(self):
+    def _rows(self):
         v1, v2 = self.v1, self.v2
-        return _on_unit([(0.0, v2, 0.0, v1, -(v1 / (2.0 * v2)), False), (v2, 1.0, 0.5 * v1 * v2, 0.0, 0.0, False)])
+        return [(0.0, v2, 0.0, v1, -(v1 / (2.0 * v2)), False), (v2, math.inf, 0.5 * v1 * v2, 0.0, 0.0, False)]
 
     def to_json(self):
         return {"kind": "surface", "v1": self.v1, "v2": self.v2}
@@ -225,7 +220,8 @@ class TabulatedPenalty(Penalty):
     right_value)``.  The stored value applies AT x (left-continuity); when
     ``jump_after`` is set the next segment starts at ``right_value``
     (defaulting to the next point's value, i.e. a jump followed by a flat
-    segment).  Mirrored to [-1, 0] by symmetry.
+    segment).  Mirrored to [-1, 0] by symmetry.  Past the last point, and
+    past 1, the penalty is flat.
     """
 
     kind = "tabulated"
@@ -256,40 +252,16 @@ class TabulatedPenalty(Penalty):
         if np.any(np.diff(self.xs) <= 0):
             raise DomainError("breakpoint abscissae must be strictly increasing")
 
-    def _value_pos(self, x):
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # segment index: x in (xs[k], xs[k+1]] uses interpolation towards left[k+1]
-        k = np.searchsorted(self.xs, x, side="left")
-        out = np.empty_like(x)
-        at_node = k < len(self.xs)
-        exact = at_node & (self.xs[np.minimum(k, len(self.xs) - 1)] == x)
-        out[exact] = self.left[k[exact]]
-        mid = ~exact
-        km = np.clip(k[mid] - 1, 0, len(self.xs) - 1)
-        beyond = k[mid] >= len(self.xs)
-        x0 = self.xs[km]
-        r0 = self.right[km]
-        x1 = np.where(beyond, 1.0, self.xs[np.minimum(km + 1, len(self.xs) - 1)])
-        l1 = np.where(beyond, r0, self.left[np.minimum(km + 1, len(self.xs) - 1)])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(x1 > x0, (x[mid] - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        out[mid] = r0 + t * (l1 - r0)
-        return out.reshape(shape)
-
-    def pieces(self):
+    def _rows(self):
         xs, left, right = self.xs.tolist(), self.left.tolist(), self.right.tolist()
         rows = []
         for k, a in enumerate(xs):
             b, end = (xs[k + 1], left[k + 1]) if k + 1 < len(xs) else (1.0, right[k])
             slope = (end - right[k]) / (b - a) if b > a else 0.0
             rows.append((a, b, right[k] - slope * a, slope, 0.0, right[k] > left[k]))
-        return _on_unit(rows)
-
-    def value_extended(self, x):
-        arr = np.abs(np.asarray(x, dtype=float))
-        out = self._value_pos(np.minimum(arr, 1.0))
-        return float(out) if np.ndim(x) == 0 else out
+        rows = _on_unit(rows)
+        c0, c1, c2 = rows[-1][2:5]
+        return rows + [(1.0, math.inf, _horner(c0, c1, c2, 1.0), 0.0, 0.0, False)]
 
     def to_json(self):
         pts = []
@@ -301,16 +273,33 @@ class TabulatedPenalty(Penalty):
         return {"kind": "tabulated", "points": pts}
 
 
-# kind -> (constructor, required keys in argument order)
+def _argument(x, a, sigma):
+    return x / a
+
+
+def _level(c, a, sigma):
+    return c / (a * sigma)
+
+
+def _points(points, a, sigma):
+    """Tabulated points with each x an argument and each value a level."""
+    scale = a * sigma
+    return [[x / a, c / scale, jump, *(r / scale for r in right)] for x, c, jump, *right in points]
+
+
+# kind -> (constructor, {JSON key: rescaling} in argument order).  A rescaling
+# maps the parameter to that of C0(x0) = C(a x0) / (a sigma), the penalty of
+# the normalized model for noise half-width a and fundamental half-width
+# sigma; None marks a kind defined on the normalized model only.
 _KINDS = {
-    "zero": (ZeroPenalty, ()),
-    "constant_nonzero": (ConstantNonzeroPenalty, ("K",)),
-    "constant_above": (ConstantAbovePenalty, ("K", "x0")),
-    "linear": (LinearPenalty, ("alpha",)),
-    "quadratic": (QuadraticPenalty, ("alpha",)),
-    "optimal_canonical": (OptimalCanonicalPenalty, ("K",)),
-    "surface": (SurfaceOptimalPenalty, ("v1", "v2")),
-    "tabulated": (TabulatedPenalty, ("points",)),
+    "zero": (ZeroPenalty, {}),
+    "constant_nonzero": (ConstantNonzeroPenalty, {"K": _level}),
+    "constant_above": (ConstantAbovePenalty, {"K": _level, "x0": _argument}),
+    "linear": (LinearPenalty, {"alpha": lambda alpha, a, sigma: alpha / sigma}),
+    "quadratic": (QuadraticPenalty, {"alpha": lambda alpha, a, sigma: alpha * a / sigma}),
+    "optimal_canonical": (OptimalCanonicalPenalty, {"K": None}),
+    "surface": (SurfaceOptimalPenalty, {"v1": None, "v2": None}),
+    "tabulated": (TabulatedPenalty, {"points": _points}),
 }
 
 
@@ -362,56 +351,55 @@ class ValidationReport:
         return "ok" if self.ok else f"violation: {self.violation}"
 
 
-def validate(penalty: Penalty, n_grid: int = 2001) -> ValidationReport:
-    """Check the admissibility invariants on a dense grid plus all breakpoints.
+def _extremes(a, b, c0, c1, c2):
+    """c0 + c1 x + c2 x^2 at a, at its vertex clipped to [a, b], and at b:
+    the three points where a quadratic takes its extremes on [a, b]."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(c2 != 0.0, np.clip(-0.5 * c1 / c2, a, b), a)
+    return tuple(_horner(c0, c1, c2, x) for x in (a, vertex, b))
 
-    Violations are reported, not raised; the first failed invariant wins.
+
+def validate(penalty: Penalty) -> ValidationReport:
+    """Check the admissibility invariants exactly, piece by piece.
+
+    A quadratic piece takes its extremes at its ends and its vertex, so those
+    points decide every invariant.  Symmetry holds by construction, since C
+    is evaluated at |x|.  Violations are reported, not raised; the first
+    failed invariant wins.
     """
-    if isinstance(penalty, TabulatedPenalty):
-        if np.any(penalty.left < 0) or np.any(penalty.right < 0):
-            return ValidationReport(False, "nonnegative")
-        if np.any(penalty.right < penalty.left - 1e-15):
-            return ValidationReport(False, "left-continuous (downward jump)")
-    grid = np.union1d(np.linspace(0.0, 1.0, n_grid), np.asarray(penalty.breakpoints()))
-    vals = penalty.value(grid)
-    if abs(penalty.value(0.0)) > 1e-15:
+    a, b, c0, c1, c2, _ = np.asarray(penalty.pieces(), dtype=float).T
+    start, vertex, end = _extremes(a, b, c0, c1, c2)  # start is the right limit C(a+)
+    if penalty.value(0.0) != 0.0:
         return ValidationReport(False, "C(0) = 0")
-    if np.any(vals < -1e-15):
+    if not np.all(np.array((start, vertex, end)) >= -1e-15):
         return ValidationReport(False, "nonnegative")
-    if np.any(np.diff(vals) < -1e-12):
+    if not np.all(start >= np.concatenate(([0.0], end[:-1])) - 1e-12):  # C(a+) >= C(a)
+        return ValidationReport(False, "left-continuous (downward jump)")
+    if not np.all(np.maximum(start - vertex, vertex - end) <= 1e-12):  # the largest drop inside a piece
         return ValidationReport(False, "non-decreasing")
-    a, right = np.asarray([(a, c0 + c1 * a + c2 * a * a) for a, _, c0, c1, c2, _ in penalty.pieces()]).T
-    if np.any(right < penalty.value(a) - 1e-12):
-        return ValidationReport(False, "non-decreasing")
-    sym = penalty.value(-grid)
-    if np.any(sym != vals):
-        return ValidationReport(False, "symmetric")
     return ValidationReport(True)
 
 
-def is_in_optimal_class(penalty: Penalty, tol: float = 1e-9, n_grid: int = 10_000):
+def is_in_optimal_class(penalty: Penalty, tol: float = 1e-9):
     """Return the K in [0, 1/2] for which the penalty sits in the optimal class.
 
-    Membership requires C to dominate the envelope x(sqrt(2K) - x/2) up to
-    sqrt(2K) and to be flat at K above.  The flat condition forces K = C(1),
-    so K is recovered there and both conditions are checked on a grid.
-    Returns None if no such K exists.
+    Membership requires C to dominate the envelope x(s - x/2), s = sqrt(2K),
+    up to s and to be flat at K above.  The flat condition forces K = C(1).
+    Both are checked exactly: on each piece, C minus the envelope and C minus
+    K are quadratics whose extremes lie at the ends or the vertex.  Returns
+    None if no such K exists.
     """
     K = penalty.value(1.0)
     if K < -tol or K > 0.5 + tol:
         return None
     K = min(max(K, 0.0), 0.5)
     s = math.sqrt(2.0 * K)
-    if s < 1.0:
-        flat = np.linspace(np.nextafter(s, 1.0), 1.0, n_grid)
-        if np.any(np.abs(penalty.value(flat) - K) > tol):
-            return None
-    if s > 0.0:
-        xs = np.union1d(
-            np.linspace(0.0, min(s, 1.0), n_grid),
-            np.asarray([b for b in penalty.breakpoints() if b <= s]),
-        )
-        envelope = xs * (s - 0.5 * xs)
-        if np.any(penalty.value(xs) - envelope < -tol):
-            return None
+    a, b, c0, c1, c2, _ = np.asarray(penalty.pieces(), dtype=float).T
+    head, tail = a < s, b > s
+    below = _extremes(a[head], np.minimum(b[head], s), c0[head], c1[head] - s, c2[head] + 0.5)
+    off = _extremes(np.maximum(a[tail], s), b[tail], c0[tail] - K, c1[tail], c2[tail])
+    if min(np.min(gap, initial=0.0) for gap in below) < -tol:
+        return None
+    if max(np.max(np.abs(gap), initial=0.0) for gap in off) > tol:
+        return None
     return K

@@ -14,15 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import Metrics
-from .penalties import (
-    ConstantAbovePenalty,
-    ConstantNonzeroPenalty,
-    LinearPenalty,
-    Penalty,
-    QuadraticPenalty,
-    TabulatedPenalty,
-    ZeroPenalty,
-)
+from .penalties import _KINDS, Penalty
 
 
 @dataclass(frozen=True)
@@ -69,30 +61,11 @@ def normalize_penalty(penalty: Penalty, spec: SupportSpec) -> Penalty:
     rescales under the change of variables, so the normalized game has the
     same argmax structure as the original one.
     """
-    scale = spec.a * spec.sigma
-    if isinstance(penalty, ZeroPenalty):
-        return penalty
-    if isinstance(penalty, ConstantNonzeroPenalty):
-        return ConstantNonzeroPenalty(penalty.K / scale)
-    if isinstance(penalty, ConstantAbovePenalty):
-        return ConstantAbovePenalty(penalty.K / scale, penalty.x0 / spec.a)
-    if isinstance(penalty, LinearPenalty):
-        # C(a x0) = alpha * a * |x0|
-        return LinearPenalty(penalty.alpha / spec.sigma)
-    if isinstance(penalty, QuadraticPenalty):
-        # C(a x0) = alpha * a^2 * x0^2
-        return QuadraticPenalty(penalty.alpha * spec.a / spec.sigma)
-    if isinstance(penalty, TabulatedPenalty):
-        pts = []
-        for row in penalty.to_json()["points"]:
-            scaled = [row[0] / spec.a, row[1] / scale, row[2]]
-            if len(row) > 3:
-                scaled.append(row[3] / scale)
-            pts.append(scaled)
-        return TabulatedPenalty(pts)
-    raise DomainError(
-        "penalty kind has no defined meaning on general supports"
-    )
+    maker, rescale = _KINDS.get(penalty.kind, (None, None))
+    if rescale is None or None in rescale.values():
+        raise DomainError("penalty kind has no defined meaning on general supports")
+    params = penalty.to_json()
+    return maker(*(f(params[key], spec.a, spec.sigma) for key, f in rescale.items()))
 
 
 @dataclass

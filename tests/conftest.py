@@ -66,6 +66,49 @@ def random_tabulated_penalty(rng):
     return TabulatedPenalty(points)
 
 
+def reference_formula(pen, x):
+    """C(|x|) by the per-kind formulas the penalties used before every kind
+    described itself by rows, without any clamp: closed forms continue past
+    1, and a table is read in its own units, flat past its last point."""
+    x = np.abs(np.asarray(x, dtype=float))
+    if pen.kind == "zero":
+        return np.zeros_like(x)
+    if pen.kind == "constant_nonzero":
+        return np.where(x > 0, pen.K, 0.0)
+    if pen.kind == "constant_above":
+        return np.where(x > pen.x0, pen.K, 0.0)
+    if pen.kind == "linear":
+        return pen.alpha * x
+    if pen.kind == "quadratic":
+        return pen.alpha * x * x
+    if pen.kind == "optimal_canonical":
+        s = pen.cutoff
+        return np.where(x <= s, x * (s - 0.5 * x), pen.K)
+    if pen.kind == "surface":
+        cap = 0.5 * pen.v1 * pen.v2
+        inner = pen.v1 * x - (pen.v1 / (2.0 * pen.v2)) * x * x
+        return np.where(x <= pen.v2, inner, cap)
+    assert pen.kind == "tabulated"
+    xs, left, right = pen.xs, pen.left, pen.right
+    shape = np.shape(x)
+    x = np.atleast_1d(x)
+    # segment index: x in (xs[k], xs[k+1]] uses interpolation towards left[k+1]
+    k = np.searchsorted(xs, x, side="left")
+    out = np.empty_like(x)
+    exact = (k < len(xs)) & (xs[np.minimum(k, len(xs) - 1)] == x)
+    out[exact] = left[k[exact]]
+    mid = ~exact
+    km = np.clip(k[mid] - 1, 0, len(xs) - 1)
+    beyond = k[mid] >= len(xs)
+    x0, r0 = xs[km], right[km]
+    x1 = np.where(beyond, 1.0, xs[np.minimum(km + 1, len(xs) - 1)])
+    l1 = np.where(beyond, r0, left[np.minimum(km + 1, len(xs) - 1)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(x1 > x0, (x[mid] - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
+    out[mid] = r0 + t * (l1 - r0)
+    return out.reshape(shape)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -137,6 +137,9 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         ["solve", "--penalty", QUAD, "--samples", "0"],
         ["solve", "--penalty", QUAD, "--samples", "1"],
         ["figures", "--samples", "0"],
+        ["figures", "--grid", "1"],
+        ["gaussian", "--penalty", QUAD, "--grid-l", "1e300"],
+        ["gaussian", "--penalty", QUAD, "--grid-l", "1e-300"],
     ],
     ids=[
         "nan-support",
@@ -154,6 +157,9 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         "samples-0",
         "samples-1",
         "figures-samples-0",
+        "figures-grid-1",
+        "huge-grid-l",
+        "tiny-grid-l",
     ],
 )
 def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
@@ -162,6 +168,17 @@ def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "concatenate" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--grid", "1"], ["--samples", "0"], ["--gaussian-l", "nan"]],
+    ids=["grid-1", "samples-0", "nan-gaussian-l"],
+)
+def test_bad_figures_options_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "figures"
+    assert main(["figures", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_surface_command(tmp_path):

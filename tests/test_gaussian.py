@@ -22,6 +22,19 @@ def test_grid_validation():
         GaussianGrid(L=-1.0, n=201)
 
 
+@pytest.mark.parametrize("L", [0.5, 38.5, 1e300, 1e-300, float("nan"), float("inf")])
+def test_grid_span_outside_one_to_38_sd_rejected(L):
+    # below 1 sd the grid drops most of the normal mass; past 38.5 sd the
+    # density underflows, and 1e300 overflows the quadratures
+    with pytest.raises(DomainError):
+        GaussianGrid(L=L, n=11)
+
+
+def test_grid_span_ends_accepted():
+    assert GaussianGrid(L=1.0, n=11).h == pytest.approx(0.2)
+    assert GaussianGrid(L=38.0, n=11).h == pytest.approx(7.6)
+
+
 def test_price_update_no_information():
     P = gaussian_price_update(np.zeros(SMALL.n), SMALL)
     assert np.max(np.abs(P)) < 1e-12

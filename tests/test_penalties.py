@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kylepen as kp
+from conftest import reference_formula
 from kylepen.errors import DomainError
 
 
@@ -55,6 +56,39 @@ def test_pieces_describe_the_penalty(pen):
         x = np.linspace(a, b, 9)[1:]  # C is the polynomial on (a, b]
         assert np.allclose(pen.value(x), c0 + c1 * x + c2 * x * x, rtol=0.0, atol=1e-15)
         assert jump == (pen.right_limit(a) > pen.value(a) + 1e-15)
+
+
+REFERENCE_CASES = [
+    kp.ZeroPenalty(),
+    kp.ConstantNonzeroPenalty(0.2),
+    kp.ConstantAbovePenalty(0.2, 0.1),
+    kp.ConstantAbovePenalty(0.2, 1.0),
+    kp.ConstantAbovePenalty(0.3, 1.5),
+    kp.LinearPenalty(0.3),
+    kp.QuadraticPenalty(2.0),
+    kp.OptimalCanonicalPenalty(0.2),
+    kp.OptimalCanonicalPenalty(0.5),
+    kp.SurfaceOptimalPenalty(0.5, 0.75),
+    kp.SurfaceOptimalPenalty(0.5, 1.0),
+    kp.TabulatedPenalty([[0.0, 0.0, True, 0.1], [0.4, 0.2, False], [0.7, 0.3, True, 0.5], [1.2, 0.6, False]]),
+    kp.TabulatedPenalty([[0.0, 0.0, False], [0.3, 0.05, False], [0.6, 0.2, True, 0.25]]),  # last point below 1
+    kp.TabulatedPenalty([[0.0, 0.0, False], [0.5, 0.1, False], [1.0, 0.3, True, 0.5]]),  # trailing jump at 1
+]
+
+
+@pytest.mark.parametrize("pen", REFERENCE_CASES, ids=repr)
+def test_rows_match_the_reference_formulas(pen):
+    # value clamps |x| to 1; value_extended continues closed forms past 1
+    # and keeps a table flat at C(1)
+    rng = np.random.default_rng(6)
+    knots = np.array([0.0, 1.0, *(row[0] for row in pen._rows())])
+    near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    near = np.concatenate([near, -near])
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 10**6), near[np.abs(near) <= 1.0]])
+    assert np.max(np.abs(pen.value(x) - reference_formula(pen, np.minimum(np.abs(x), 1.0)))) <= 1e-15
+    x = np.concatenate([rng.uniform(-5.0, 5.0, 10**6), near])
+    ext = np.minimum(np.abs(x), 1.0) if pen.kind == "tabulated" else x
+    assert np.max(np.abs(pen.value_extended(x) - reference_formula(pen, ext))) <= 1e-15
 
 
 def test_linear_and_quadratic():
@@ -190,6 +224,12 @@ def test_validate_rejects_downward_jump():
     assert "left-continuous" in report.violation
 
 
+def test_validate_sees_a_drop_between_grid_points():
+    # a fall of 1e-10 over [0.5, 1] is 5e-14 between neighbours of a 2,001-point grid
+    pen = kp.TabulatedPenalty([[0.0, 0.0, False], [0.5, 0.1, False], [1.0, 0.1 - 1e-10, False]])
+    assert kp.validate(pen).violation == "non-decreasing"
+
+
 def test_validate_rejects_decreasing_table():
     pen = kp.TabulatedPenalty([[0.0, 0.0, False], [0.5, 0.3, False], [1.0, 0.1, False]])
     report = kp.validate(pen)
@@ -214,3 +254,28 @@ def test_optimal_class_non_members():
         [[0.0, 0.0, False], [0.4, 0.01, False], [0.7, 0.2, False], [1.0, 0.2, False]]
     )
     assert kp.is_in_optimal_class(pen) is None
+
+
+def _lower_envelope_of_lines(lines):
+    """Tabulated min of lines (slope, intercept) given in decreasing slope."""
+    points = [[0.0, 0.0, False]]
+    for (m1, q1), (m2, q2) in zip(lines, lines[1:]):
+        x = (q2 - q1) / (m1 - m2)
+        points.append([x, m1 * x + q1, False])
+    return kp.TabulatedPenalty(points)
+
+
+def test_optimal_class_is_exact_between_grid_points():
+    # tangents (s - t) x + t^2/2 to the envelope x(s - x/2) at K = 0.2; the
+    # one at t* is shifted down by 1.3e-9, and t* sits midway between two
+    # points of a 10,000-point grid on [0, s], where the gap is only -8e-10
+    K, delta = 0.2, 1.3e-9
+    s = np.sqrt(2 * K)
+    t_star = 5000.5 * s / 9999
+    ts = (0.0, 0.3, t_star, 0.55, s)
+    touching = _lower_envelope_of_lines([(s - t, t * t / 2) for t in ts])
+    assert kp.is_in_optimal_class(touching) == pytest.approx(K)
+    pen = _lower_envelope_of_lines([(s - t, t * t / 2 - (delta if t == t_star else 0.0)) for t in ts])
+    assert kp.validate(pen).ok
+    assert pen.value(t_star) - t_star * (s - t_star / 2) == pytest.approx(-delta, rel=1e-6)
+    assert kp.is_in_optimal_class(pen, tol=1e-9) is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kylepen as kp
+from conftest import random_tabulated_penalty, reference_formula
 from kylepen.errors import DomainError
 
 
@@ -44,6 +45,33 @@ def test_normalize_preserves_admissibility(rng):
     ):
         pen0 = kp.normalize_penalty(pen, spec)
         assert kp.validate(pen0).ok
+
+
+def test_support_round_trip(rng):
+    # C0(x / a) a sigma = C(x) for every kind that normalizes, at random x and
+    # at every breakpoint.  The original side is the per-kind formula in the
+    # penalty's own units: a table's value_extended stays flat past its
+    # x = 1, which for a > 1 lies inside the noise support [-a, a].
+    for _ in range(100):
+        a, sigma = rng.uniform(0.25, 4.0), rng.uniform(0.25, 2.0)
+        b = rng.uniform(-2.0, 2.0)
+        spec = kp.SupportSpec(a, b, b + 2.0 * sigma)
+        scale = spec.a * spec.sigma
+        table = random_tabulated_penalty(rng).to_json()["points"]
+        for pen in (
+            kp.ZeroPenalty(),
+            kp.ConstantNonzeroPenalty(rng.uniform(0.0, 0.5) * scale),
+            kp.ConstantAbovePenalty(rng.uniform(0.0, 0.5) * scale, rng.uniform(0.0, 1.5) * a),
+            kp.LinearPenalty(rng.uniform(0.0, 1.0) * spec.sigma),
+            kp.QuadraticPenalty(rng.uniform(0.0, 2.0) * spec.sigma / a),
+            kp.TabulatedPenalty([[x * a, *rest] for x, *rest in table]),
+        ):
+            pen0 = kp.normalize_penalty(pen, spec)
+            assert pen0.kind == pen.kind
+            knots = np.array([row[0] for row in pen._rows()])
+            x = np.concatenate([rng.uniform(-3.0 * a, 3.0 * a, 200), knots, -knots])
+            got = pen0.value_extended(x / spec.a) * scale
+            assert np.max(np.abs(got - reference_formula(pen, x))) <= 1e-12
 
 
 def test_normalize_rejects_normalized_only_kinds():
