@@ -87,7 +87,10 @@ def _load_penalty(text: str):
         spec = json.loads(text)
     else:
         spec = json.loads(Path(text).read_text())
-    penalty = penalty_from_json(spec)
+    return _admissible(penalty_from_json(spec))
+
+
+def _admissible(penalty):
     report = validate(penalty)
     if not report.ok:
         raise DomainError(f"inadmissible penalty: {report.violation}")
@@ -104,12 +107,14 @@ def _parse_support(text: str) -> SupportSpec:
 def _solve_on_support(args, method: str = "auto"):
     """Load --penalty and solve it, rescaled to the normalized model when
     --support names a non-unit support; returns (penalty, spec or None,
-    normalized penalty, solution)."""
+    normalized penalty, solution).  The normalized penalty is validated
+    again: for a > 1 it carries C from [0, a], past the unit range checked
+    on load."""
     penalty = _load_penalty(args.penalty)
     spec = _parse_support(args.support) if args.support else None
     if spec is not None and spec.is_identity:
         spec = None
-    penalty0 = penalty if spec is None else normalize_penalty(penalty, spec)
+    penalty0 = penalty if spec is None else _admissible(normalize_penalty(penalty, spec))
     return penalty, spec, penalty0, solve_equilibrium(penalty0, method=method)
 
 

@@ -33,8 +33,8 @@ def _normal_pdf(t):
 @dataclass(frozen=True)
 class GaussianGrid:
     """Symmetric uniform grids for v, x and the order flow d, truncated at
-    +-L standard deviations.  Below 1 the grid drops most of the normal mass;
-    past 38 the normal density underflows double precision."""
+    +-L standard deviations.  Below 1 the grid drops more than a third of
+    the normal mass; past 38 the normal density falls to subnormal doubles."""
 
     L: float = 5.0
     n: int = 801

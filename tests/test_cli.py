@@ -9,6 +9,9 @@ import pytest
 from kylepen.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 QUAD = '{"kind": "quadratic", "alpha": 0.125}'
+# Admissible on [0, 1], but not on [0, 2], which --support 2,-1,1 rescales onto it.
+NEGATIVE_PAST_1 = '{"kind": "tabulated", "points": [[0, 0, false], [1, 0.3, false], [1.5, -0.5, false]]}'
+DROP_AT_1 = '{"kind": "tabulated", "points": [[0, 0, false], [1.0, 0.3, true, 0.1]]}'
 
 
 def _cell(text):
@@ -140,6 +143,9 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         ["figures", "--grid", "1"],
         ["gaussian", "--penalty", QUAD, "--grid-l", "1e300"],
         ["gaussian", "--penalty", QUAD, "--grid-l", "1e-300"],
+        ["solve", "--penalty", NEGATIVE_PAST_1, "--support", "2,-1,1"],
+        ["solve", "--penalty", DROP_AT_1, "--support", "2,-1,1"],
+        ["metrics", "--penalty", DROP_AT_1, "--support", "2,-1,1"],
     ],
     ids=[
         "nan-support",
@@ -160,6 +166,9 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         "figures-grid-1",
         "huge-grid-l",
         "tiny-grid-l",
+        "support-negative-past-1",
+        "support-drop-at-1",
+        "metrics-support-drop-at-1",
     ],
 )
 def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
@@ -168,6 +177,18 @@ def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "concatenate" not in err
+
+
+@pytest.mark.parametrize(
+    "penalty, violation",
+    [(NEGATIVE_PAST_1, "nonnegative"), (DROP_AT_1, "left-continuous (downward jump)")],
+    ids=["negative-past-1", "drop-at-1"],
+)
+def test_support_validates_the_rescaled_penalty(tmp_path, capsys, penalty, violation):
+    assert main(["solve", "--penalty", penalty, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", "--penalty", penalty, "--support", "2,-1,1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: inadmissible penalty: {violation}\n"
 
 
 @pytest.mark.parametrize(
