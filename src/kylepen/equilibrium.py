@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .penalties import Penalty
-from .schedules import DemandSchedule
+from .schedules import EDGE_TOL, DemandSchedule
 
 
 # ----------------------------------------------------------------------
@@ -206,53 +206,34 @@ class PriceFunction:
         return self.evaluate(d)
 
     def evaluate(self, d):
+        return self._midpoint(d, "-", "+")
+
+    def evaluate_limit(self, d, side: str):
+        """One-sided limit of the price at d, elementwise; ``side`` is '-' or '+'."""
+        return self._midpoint(d, side, side)
+
+    def _midpoint(self, d, side1: str, side2: str):
+        """(X^-1(d - 1) + X^-1(d + 1)) / 2 with each inverse taken as its
+        one-sided limit; past +-x_max the inverse stays at +-1, which
+        saturates the price at the support edges.  d -+ 1 rounds, so at
+        d = +-(1 + x_max) the argument that meets the edge is set to it."""
         shape = np.shape(d)
         d = np.atleast_1d(np.asarray(d, dtype=float))
         xm = self.x_max
-        y1 = np.clip(d - 1.0, -xm, xm)
-        y2 = np.clip(d + 1.0, -xm, xm)
-        mid = 0.5 * (
-            self.schedule.inverse_left(y1) + self.schedule.inverse_right(y2)
-        )
-        out = np.where(d > 1.0 + xm, 1.0, np.where(d < -(1.0 + xm), -1.0, mid))
+        y1, y2 = d - 1.0, d + 1.0
+        y1[d == 1.0 + xm] = xm
+        y2[d == -1.0 - xm] = -xm
+        inverse = self.schedule.inverse_limit
+        out = 0.5 * (inverse(y1, side1) + inverse(y2, side2))
         return float(out[0]) if shape == () else out.reshape(shape)
 
-    def evaluate_limit(self, d: float, side: str) -> float:
-        """One-sided limit of the price at d; ``side`` is '-' or '+'."""
-        xm = self.x_max
-        if d > 1.0 + xm or (d == 1.0 + xm and side == "+"):
-            return 1.0
-        if d < -(1.0 + xm) or (d == -(1.0 + xm) and side == "-"):
-            return -1.0
-        terms = []
-        for y in (d - 1.0, d + 1.0):
-            if y < -xm or (y == -xm and side == "-"):
-                terms.append(-1.0)
-            elif y > xm or (y == xm and side == "+"):
-                terms.append(1.0)
-            else:
-                terms.append(self.schedule.inverse_limit(y, side))
-        return 0.5 * (terms[0] + terms[1])
-
     def jump_points(self):
-        """Order-flow levels where the price may jump (flats of the demand)."""
-        xlo, xhi, vlo, vhi = self.schedule._inverse_pieces()
-        levels = set()
-        for k in range(len(xlo) - 1):
-            if vhi[k] < vlo[k + 1]:
-                levels.add(float(xhi[k]))
-        if len(xlo):
-            if vlo[0] > 0.0:
-                levels.add(0.0)  # no-trade band around the origin
-            if vhi[-1] < 1.0:
-                levels.add(float(xhi[-1]))  # flat at the top of the schedule
-        else:
-            levels.add(0.0)  # identically-zero schedule
-        ds = set()
-        for x in levels:
-            for d in (x + 1.0, x - 1.0, -x + 1.0, -x - 1.0):
-                ds.add(d)
-        return sorted(ds)
+        """Order-flow levels where the price may jump: d = +-x +- 1 at every
+        jump x of the inverse (a flat of the demand, the no-trade band at 0
+        included, or a flat at the top)."""
+        inv = self.schedule.inverse
+        x = inv.nodes[inv.left < inv.right]
+        return np.unique(np.concatenate((x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)))
 
     def expected_price(self, x: float) -> float:
         """Average execution price of an order x against uniform noise.
@@ -260,7 +241,7 @@ class PriceFunction:
         Exact piecewise integration of (1/2) * integral of P over
         [x-1, x+1]; no quadrature error beyond arithmetic.
         """
-        if abs(x) > 1.0 + 1e-12:
+        if abs(x) > 1.0 + EDGE_TOL:
             raise DomainError("order outside [-1, 1]")
         xm = self.x_max
         a = x - 1.0
@@ -298,12 +279,14 @@ class PriceFunction:
             raise DomainError("need at least 2 sample points")
         xm = self.x_max
         lo, hi = -(1.0 + xm) - 0.25, 1.0 + xm + 0.25
-        ds = np.linspace(lo, hi, n)
-        rows = list(zip(ds.tolist(), self.evaluate(ds).tolist()))
-        for d in self.jump_points():
-            rows.append((d, self.evaluate_limit(d, "-")))
-            rows.append((d, self.evaluate_limit(d, "+")))
-        rows.sort(key=lambda r: (r[0], r[1]))
+        grid = np.linspace(lo, hi, n)
+        jumps = self.jump_points()
+        ds = np.concatenate((grid, jumps, jumps))
+        ps = np.concatenate(
+            (self.evaluate(grid), self.evaluate_limit(jumps, "-"), self.evaluate_limit(jumps, "+"))
+        )
+        rows = list(zip(ds.tolist(), ps.tolist()))
+        rows.sort()
         return rows
 
 

@@ -1,9 +1,10 @@
 """Odd non-decreasing demand schedules with jumps, and their generalized inverses.
 
-A schedule is stored on [0, 1] only as a list of nodes with one-sided values;
-all queries on [-1, 0) mirror through oddness.  The value at an interior jump
-follows left-continuity for v > 0 (and by oddness the right value for v < 0);
-X(0) = 0 always.
+A demand schedule and its generalized inverse are the same kind of map: odd,
+non-decreasing and piecewise linear with jumps, where the jumps of one are
+the flats of the other.  Both are stored as an :class:`OddMap`: nodes on
+[0, top] with one-sided values; queries on negative arguments mirror through
+oddness.  One evaluator and one running-integral table serve both.
 """
 
 from __future__ import annotations
@@ -12,20 +13,101 @@ import numpy as np
 
 from .errors import DomainError
 
+EDGE_TOL = 1e-12  # an argument this far past the edge of its domain is on the edge
+ORDER_TOL = 1e-15  # one-sided values may be out of order by this much rounding
+_LARGEST = np.finfo(float).max
 
-class DemandSchedule:
+
+class OddMap:
+    """Odd piecewise-linear map with jumps, stored on [0, top].
+
+    ``nodes`` increases from 0; a query exactly at node k reads ``left[k]``
+    or ``right[k]``.  Between nodes the map runs linearly from right[k] to
+    left[k+1], past the last node it stays at right[-1], and a negative
+    argument reads the mirror image of its absolute value.
+    """
+
+    def __init__(self, nodes, left, right):
+        self.nodes, self.left, self.right = nodes, left, right
+        self._width_rise = None
+        self._cum = None
+
+    def _slopes(self):
+        """(width, rise) of every segment, built on the first query.  One
+        more segment past the last node is infinitely wide and flat, so the
+        map stays at right[-1] there without a case of its own."""
+        if self._width_rise is None:
+            width = np.append(np.diff(self.nodes), np.inf)
+            rise = np.append(self.left[1:] - self.right[:-1], 0.0)
+            self._width_rise = width, rise
+        return self._width_rise
+
+    def _locate(self, a):
+        """Segment k (node k is the last one <= a), the offset a - nodes[k]
+        and the linear value there, for an array a >= 0 that it may clamp."""
+        width, rise = self._slopes()
+        np.minimum(a, _LARGEST, out=a)  # an infinite argument lies in the tail too
+        k = np.searchsorted(self.nodes, a, side="right")
+        k -= 1
+        off = a - self.nodes[k]
+        val = off / width[k]
+        val *= rise[k]
+        val += self.right[k]
+        return k, off, val
+
+    def value(self, x, upper=False):
+        """The map at x, elementwise.  Where |x| is node k this reads right[k]
+        if ``upper`` else left[k], then mirrors for x < 0; so ``upper=False``
+        reads the value toward zero, ``upper = x < 0`` the left limit and
+        ``upper = x >= 0`` the right limit."""
+        shape = np.shape(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        k, off, out = self._locate(np.abs(x))
+        at = off == 0.0
+        np.logical_and(at, np.logical_not(upper), out=at)
+        out[at] = self.left[k[at]]
+        np.negative(out, out=out, where=x < 0)
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+    def integral(self, t):
+        """Exact integral of the map over [0, |t|], elementwise; the map is
+        odd, so this antiderivative is even.
+
+        The first call builds a running table of whole-segment integrals in
+        O(n); each query then costs one search.  A whole segment adds the
+        partial term below taken at its right end, so the table holds the
+        same sums a segment-by-segment walk would add.
+        """
+        if self._cum is None:
+            width, rise = self._slopes()
+            r = self.right[:-1]
+            whole = width[:-1] * 0.5 * (r + (rise[:-1] + r))
+            self._cum = np.concatenate(([0.0], np.cumsum(whole)))
+        shape = np.shape(t)
+        k, off, val = self._locate(np.abs(np.atleast_1d(np.asarray(t, dtype=float))))
+        out = self._cum[k] + off * 0.5 * (self.right[k] + val)
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+    def segment_arrays(self):
+        """(v0, v1, a, b): each linear piece runs from (v0, a) to (v1, b)."""
+        return self.nodes[:-1], self.nodes[1:], self.right[:-1], self.left[1:]
+
+
+class DemandSchedule(OddMap):
     """Piecewise-linear-with-jumps map v -> X(v), odd and non-decreasing.
 
     ``nodes`` is an increasing grid 0 = v_0 < ... < v_m = 1; ``left[k]`` and
-    ``right[k]`` are the one-sided values at node k.  Between nodes the
-    schedule interpolates linearly from right[k] to left[k+1].
+    ``right[k]`` are the one-sided values at node k, and X(0) = left[0] = 0.
+    At a jump X takes the value toward zero: left-continuous for v > 0 and,
+    by oddness, right-continuous for v < 0.
     """
 
     def __init__(self, nodes, left, right):
         nodes = np.asarray(nodes, dtype=float)
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
-        # scalar validation: the arrays are tiny, so looping beats reductions
+        # scalar checks: for the few nodes of most schedules a loop costs
+        # less than numpy reductions, and it is O(n) either way
         nl, ll, rl = nodes.tolist(), left.tolist(), right.tolist()
         if nl[0] != 0.0 or nl[-1] != 1.0:
             raise DomainError("nodes must span [0, 1]")
@@ -34,17 +116,16 @@ class DemandSchedule:
         for k in range(len(nl)):
             if k and nl[k] <= nl[k - 1]:
                 raise DomainError("nodes must be strictly increasing")
-            if ll[k] > rl[k] + 1e-15 or (k and rl[k - 1] > ll[k] + 1e-15):
+            if ll[k] > rl[k] + ORDER_TOL or (k and rl[k - 1] > ll[k] + ORDER_TOL):
                 raise DomainError("schedule must be non-decreasing")
-            if ll[k] < -1e-15 or rl[k] > 1.0 + 1e-12:
+            if ll[k] < -ORDER_TOL or rl[k] > 1.0 + EDGE_TOL:
                 raise DomainError("values must lie in [0, 1]")
-        self.nodes = nodes
-        self.left = np.minimum(left, right)
-        self.right = np.minimum(right, 1.0)
+        left = np.minimum(left, right)
+        right = np.minimum(right, 1.0)
         # value at v = 1 is the left-continuous one
-        self.right[-1] = self.left[-1]
-        self._inv = None
-        self._inv_cum = None
+        right[-1] = left[-1]
+        super().__init__(nodes, left, right)
+        self._inverse = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -84,181 +165,76 @@ class DemandSchedule:
         return self.evaluate(v)
 
     def evaluate(self, v):
-        shape = np.shape(v)
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(np.abs(v) > 1.0 + 1e-12):
+        if np.any(np.abs(v) > 1.0 + EDGE_TOL):
             raise DomainError("schedule argument outside [-1, 1]")
-        out = np.sign(v) * self._eval_pos(np.minimum(np.abs(v), 1.0))
-        out = out + 0.0  # normalise -0.0
-        return float(out[0]) if shape == () else out.reshape(shape)
-
-    def _eval_pos(self, v):
-        k = np.searchsorted(self.nodes, v, side="left")
-        out = np.empty_like(v)
-        exact = self.nodes[np.minimum(k, len(self.nodes) - 1)] == v
-        out[exact] = self.left[np.minimum(k, len(self.nodes) - 1)[exact]] if exact.any() else 0.0
-        mid = ~exact
-        if mid.any():
-            km = k[mid] - 1
-            v0 = self.nodes[km]
-            v1 = self.nodes[km + 1]
-            a = self.right[km]
-            b = self.left[km + 1]
-            out[mid] = a + (b - a) * (v[mid] - v0) / (v1 - v0)
-        return out
+        return self.value(v) + 0.0  # normalise -0.0
 
     # ------------------------------------------------------------------
     # generalized inverses
     # ------------------------------------------------------------------
-    def _inverse_pieces(self):
-        """Contiguous cover of [0, x_max] in x by linear pieces of the inverse.
+    @property
+    def inverse(self) -> OddMap:
+        """The generalized inverse as an OddMap on [0, x_max].
 
-        Increasing segments of X invert to linear pieces; jumps of X invert to
-        constant pieces; flats of X occupy no x-measure and appear as v-gaps
-        between adjacent pieces (where the inverse itself jumps).
+        At a level x its left value is inf{v : X(v) >= x} and its right
+        value sup{v : X(v) <= x}; past x_max it stays at 1.  The levels are
+        the one-sided values of X in order, each node's left then right one.
         """
-        if self._inv is not None:
-            return self._inv
-        xlo, xhi, vlo, vhi = [], [], [], []
-        m = len(self.nodes) - 1
-        if self.right[0] > 0.0:  # jump at the origin
-            xlo.append(0.0)
-            xhi.append(self.right[0])
-            vlo.append(0.0)
-            vhi.append(0.0)
-        for k in range(m):
-            a, b = self.right[k], self.left[k + 1]
-            if b > a:
-                xlo.append(a)
-                xhi.append(b)
-                vlo.append(self.nodes[k])
-                vhi.append(self.nodes[k + 1])
-            if k + 1 < m and self.right[k + 1] > self.left[k + 1]:
-                xlo.append(self.left[k + 1])
-                xhi.append(self.right[k + 1])
-                vlo.append(self.nodes[k + 1])
-                vhi.append(self.nodes[k + 1])
-        self._inv = tuple(np.asarray(a) for a in (xlo, xhi, vlo, vhi))
-        return self._inv
+        if self._inverse is None:
+            levels = np.maximum.accumulate(np.column_stack((self.left, self.right)).ravel())
+            v = np.repeat(self.nodes, 2)
+            new = np.flatnonzero(np.diff(levels)) + 1  # where a higher level starts
+            first, last = np.r_[0, new], np.r_[new - 1, len(levels) - 1]
+            lo, hi = v[first], v[last]
+            lo[0] = -hi[0]  # oddness at x = 0
+            self._inverse = OddMap(levels[first], lo, hi)
+        return self._inverse
 
-    def _inv_pos(self, x, rule: str):
-        """Evaluate the inverse on [0, x_max]; boundary x maps to the left or
-        right piece according to ``rule``."""
-        xlo, xhi, vlo, vhi = self._inverse_pieces()
+    def _inverse_pieces(self):
+        """(xlo, xhi, vlo, vhi): the linear pieces of the inverse, a
+        contiguous cover of [0, x_max].  Jumps of X give its constant
+        pieces; flats of X are the v-gaps between adjacent pieces."""
+        return self.inverse.segment_arrays()
+
+    def inverse_limit(self, x, side: str):
+        """One-sided limit of the (a.e.-common) inverse at x; side is '-' or
+        '+'.  The left inverse is the left limit and the right inverse the
+        right limit; past +-x_max the limit is +-1."""
+        if side not in ("-", "+"):
+            raise DomainError("side must be '-' or '+'")
         x = np.asarray(x, dtype=float)
-        if len(xlo) == 0:  # identically-zero schedule
-            return np.full_like(x, 1.0 if rule == "right" else 0.0)
-        xs = np.append(xlo, xhi[-1])
-        side = "left" if rule == "left" else "right"
-        i = np.clip(np.searchsorted(xs, x, side=side) - 1, 0, len(xlo) - 1)
-        span = xhi[i] - xlo[i]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(span > 0, (x - xlo[i]) / np.where(span > 0, span, 1.0), 0.0)
-        return vlo[i] + t * (vhi[i] - vlo[i])
+        return self.inverse.value(x, x < 0 if side == "-" else x >= 0)
 
     def inverse_left(self, x):
         """inf{v : X(v) >= x} over the full domain [-1, 1]."""
-        return self._inverse(x, left=True)
+        return self.inverse_limit(self._inverse_arg(x), "-")
 
     def inverse_right(self, x):
         """sup{v : X(v) <= x} over the full domain [-1, 1]."""
-        return self._inverse(x, left=False)
+        return self.inverse_limit(self._inverse_arg(x), "+")
 
-    def _inverse(self, x, left: bool):
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _inverse_arg(self, x):
         xm = self.x_max
-        if np.any(np.abs(x) > xm + 1e-12):
+        if np.any(np.abs(x) > xm + EDGE_TOL):
             raise DomainError("inverse argument outside [-x_max, x_max]")
-        x = np.clip(x, -xm, xm)
-        out = np.empty_like(x)
-        if left:
-            pos = x > 0
-            out[pos] = self._inv_pos(x[pos], "left")
-            out[~pos] = -self._inv_right_boundary(-x[~pos])
-        else:
-            pos = x >= 0
-            out[pos] = self._inv_right_boundary(x[pos])
-            out[~pos] = -self._inv_pos(-x[~pos], "left")
-        return float(out[0]) if shape == () else out.reshape(shape)
-
-    def _inv_right_boundary(self, x):
-        # sup{v : X(v) <= x} for x >= 0; the top of the domain maps to 1
-        out = self._inv_pos(x, "right")
-        return np.where(x >= self.x_max, 1.0, out)
-
-    def inverse_limit(self, x: float, side: str) -> float:
-        """One-sided limit of the (a.e.-common) inverse at x; side is '-' or '+'."""
-        if x > 0 or (x == 0 and side == "+"):
-            rule = "left" if side == "-" else "right"
-            return float(self._inv_pos(np.asarray(min(x, self.x_max)), rule))
-        return -self.inverse_limit(-x, "+" if side == "-" else "-")
-
-    def _inverse_areas(self):
-        """Running sums of the full-piece integrals of the inverse.
-
-        Entry k is the integral over [0, xhi[k]], summed in piece order exactly
-        as a piece-by-piece walk would add it.
-        """
-        if self._inv_cum is None:
-            xlo, xhi, vlo, vhi = self._inverse_pieces()
-            frac = np.where(xhi > xlo, 1.0, 0.0)
-            vu = vlo + frac * (vhi - vlo)
-            self._inv_cum = np.cumsum((xhi - xlo) * 0.5 * (vlo + vu))
-        return self._inv_cum
+        return np.clip(x, -xm, xm)
 
     def inverse_integral(self, p: float, q: float) -> float:
         """Exact integral of the inverse over [p, q] within [-x_max, x_max].
 
         The left and right inverses agree outside a countable set, so the
-        integral is unambiguous.  The first call builds a table of running
-        piece integrals in O(n) for n inverse pieces; each call then costs
-        O(log n).
+        integral is unambiguous.
         """
-        if q < p:
-            return -self.inverse_integral(q, p)
-
-        def anti(t):  # integral over [0, t], t >= 0
-            xlo, xhi, vlo, vhi = self._inverse_pieces()
-            k = int(np.searchsorted(xlo, t, side="left")) - 1  # last piece with xlo < t
-            if k < 0:
-                return 0.0
-            a, b, va, vb = xlo[k], xhi[k], vlo[k], vhi[k]
-            u = min(t, b)
-            frac = (u - a) / (b - a) if b > a else 0.0
-            vu = va + frac * (vb - va)
-            below = self._inverse_areas()[k - 1] if k else 0.0
-            return below + (u - a) * 0.5 * (va + vu)
-
-        # the inverse is odd a.e., so its antiderivative is even
-        return anti(abs(q)) - anti(abs(p))
+        return self.inverse.integral(q) - self.inverse.integral(p)
 
     # ------------------------------------------------------------------
     # exact polynomial integrals over the piecewise representation
     # ------------------------------------------------------------------
-    def segment_arrays(self):
-        """(v0, v1, a, b): each linear piece runs from (v0, a) to (v1, b)."""
-        return (
-            self.nodes[:-1],
-            self.nodes[1:],
-            self.right[:-1],
-            self.left[1:],
-        )
-
     def integral_upto(self, v: float) -> float:
         """Exact integral of X over [0, v] (odd integrand, so |v| suffices)."""
-        if abs(v) > 1.0 + 1e-12:
+        if abs(v) > 1.0 + EDGE_TOL:
             raise DomainError("argument outside [-1, 1]")
-        t = min(abs(v), 1.0)
-        v0, v1, a, b = self.segment_arrays()
-        total = 0.0
-        for p, q, xa, xb in zip(v0, v1, a, b):
-            if t <= p:
-                break
-            u = min(t, q)
-            xu = xa + (xb - xa) * (u - p) / (q - p)
-            total += (u - p) * 0.5 * (xa + xu)
-        return total
+        return self.integral(min(abs(v), 1.0))
 
     # ------------------------------------------------------------------
     # emission
@@ -269,16 +245,13 @@ class DemandSchedule:
         if n < 2:
             raise DomainError("need at least 2 sample points")
         grid = np.linspace(-1.0, 1.0, n)
-        rows = list(zip(grid.tolist(), self.evaluate(grid).tolist()))
-        for k in np.flatnonzero(self.right > self.left):
-            v, lo, hi = float(self.nodes[k]), float(self.left[k]), float(self.right[k])
-            if v > 0.0 or self.right[0] > 0.0:
-                rows.append((v, lo))
-                rows.append((v, hi))
-            if v > 0.0:
-                rows.append((-v, -lo))
-                rows.append((-v, -hi))
-        rows.sort(key=lambda r: (r[0], r[1]))
+        jump = self.right > self.left
+        v, lo, hi = self.nodes[jump], self.left[jump], self.right[jump]
+        pos = v > 0.0  # a jump at the origin has no mirror image
+        vs = np.concatenate((grid, v, v, -v[pos], -v[pos]))
+        xs = np.concatenate((self.evaluate(grid), lo, hi, -lo[pos], -hi[pos]))
+        rows = list(zip(vs.tolist(), xs.tolist()))
+        rows.sort()
         return rows
 
     def __repr__(self):

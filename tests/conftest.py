@@ -109,6 +109,99 @@ def reference_formula(pen, x):
     return out.reshape(shape)
 
 
+def reference_inverse_pieces(X):
+    """(xlo, xhi, vlo, vhi) of the inverse, built node by node: increasing
+    segments of X invert to linear pieces, jumps of X to constant ones."""
+    xlo, xhi, vlo, vhi = [], [], [], []
+    m = len(X.nodes) - 1
+    if X.right[0] > 0.0:  # jump at the origin
+        xlo.append(0.0)
+        xhi.append(X.right[0])
+        vlo.append(0.0)
+        vhi.append(0.0)
+    for k in range(m):
+        a, b = X.right[k], X.left[k + 1]
+        if b > a:
+            xlo.append(a)
+            xhi.append(b)
+            vlo.append(X.nodes[k])
+            vhi.append(X.nodes[k + 1])
+        if k + 1 < m and X.right[k + 1] > X.left[k + 1]:
+            xlo.append(X.left[k + 1])
+            xhi.append(X.right[k + 1])
+            vlo.append(X.nodes[k + 1])
+            vhi.append(X.nodes[k + 1])
+    return tuple(np.asarray(a) for a in (xlo, xhi, vlo, vhi))
+
+
+def _reference_inv_pos(X, x, rule):
+    """The inverse at x in [0, x_max] by its pieces; a piece end belongs to
+    the piece on its ``rule`` side."""
+    xlo, xhi, vlo, vhi = reference_inverse_pieces(X)
+    if len(xlo) == 0:  # identically-zero schedule
+        return 1.0 if rule == "right" else 0.0
+    xs = np.append(xlo, xhi[-1])
+    i = min(max(int(np.searchsorted(xs, x, side=rule)) - 1, 0), len(xlo) - 1)
+    span = xhi[i] - xlo[i]
+    t = (x - xlo[i]) / span if span > 0 else 0.0
+    return float(vlo[i] + t * (vhi[i] - vlo[i]))
+
+
+def reference_inverse_limit(X, x, side):
+    """One-sided limit of the inverse at a scalar x in [-x_max, x_max]."""
+    if x > 0 or (x == 0 and side == "+"):
+        return _reference_inv_pos(X, min(x, X.x_max), "left" if side == "-" else "right")
+    return -reference_inverse_limit(X, -x, "+" if side == "-" else "-")
+
+
+def reference_integral_upto(X, v):
+    """Integral of X over [0, |v|], walking the segments."""
+    t = min(abs(v), 1.0)
+    total = 0.0
+    for p, q, xa, xb in zip(*X.segment_arrays()):
+        if t <= p:
+            break
+        u = min(t, q)
+        xu = xa + (xb - xa) * (u - p) / (q - p)
+        total += (u - p) * 0.5 * (xa + xu)
+    return total
+
+
+def reference_evaluate_limit(P, d, side):
+    """One-sided limit of the price at a scalar d, saturating case by case."""
+    xm = P.x_max
+    if d > 1.0 + xm or (d == 1.0 + xm and side == "+"):
+        return 1.0
+    if d < -(1.0 + xm) or (d == -(1.0 + xm) and side == "-"):
+        return -1.0
+    terms = []
+    for y in (d - 1.0, d + 1.0):
+        if y < -xm or (y == -xm and side == "-"):
+            terms.append(-1.0)
+        elif y > xm or (y == xm and side == "+"):
+            terms.append(1.0)
+        else:
+            terms.append(reference_inverse_limit(P.schedule, y, side))
+    return 0.5 * (terms[0] + terms[1])
+
+
+def reference_jump_points(P):
+    """Sorted order-flow levels of the price jumps, collected piece by piece."""
+    xlo, xhi, vlo, vhi = reference_inverse_pieces(P.schedule)
+    levels = set()
+    for k in range(len(xlo) - 1):
+        if vhi[k] < vlo[k + 1]:
+            levels.add(float(xhi[k]))
+    if len(xlo):
+        if vlo[0] > 0.0:
+            levels.add(0.0)  # no-trade band around the origin
+        if vhi[-1] < 1.0:
+            levels.add(float(xhi[-1]))  # flat at the top of the schedule
+    else:
+        levels.add(0.0)  # identically-zero schedule
+    return sorted({d for x in levels for d in (x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)})
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

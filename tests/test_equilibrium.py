@@ -7,7 +7,12 @@ import kylepen as kp
 from kylepen.equilibrium import psi, solve_demand
 from kylepen.metrics import SQRT3
 
-from conftest import random_schedule, random_tabulated_penalty
+from conftest import (
+    random_schedule,
+    random_tabulated_penalty,
+    reference_evaluate_limit,
+    reference_jump_points,
+)
 
 
 def brute_force_demand(penalty, v, n_x=100_001, tie_tol=1e-12):
@@ -356,6 +361,36 @@ def test_price_sample_rows_match_scalar_reference(rng, large_schedules):
     for X in schedules:
         P = kp.PriceFunction(X)
         assert P.sample_rows(1001) == reference_price_rows(P, 1001)
+
+
+def test_price_limits_and_jumps_match_scalar_reference(rng, large_schedules):
+    """Jump levels are bit-identical; a limit is too unless d - 1 or d + 1
+    is a node of the inverse, where the scalar walk adds the two roundings
+    of vlo + 1 * (vhi - vlo) in place of the stored vhi.  At the support
+    edges d = +-(1 + x_max) the price saturates on the outer side and takes
+    the inverse's value at +-x_max on the inner one, whichever way d -+ 1
+    rounds."""
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    schedules.append(kp.DemandSchedule.zero())
+    eps = np.finfo(float).eps
+    for X in schedules:
+        P = kp.PriceFunction(X)
+        jumps = P.jump_points()
+        assert np.array_equal(jumps, reference_jump_points(P))
+        xm = P.x_max
+        ds = np.concatenate([jumps[:: max(1, len(jumps) // 80)], rng.uniform(-2.5, 2.5, 60)])
+        nodes = X.inverse.nodes
+        at_node = np.isin(np.abs(ds - 1.0), nodes) | np.isin(np.abs(ds + 1.0), nodes)
+        for side in ("-", "+"):
+            new = P.evaluate_limit(ds, side)
+            ref = np.array([reference_evaluate_limit(P, d, side) for d in ds])
+            edge = np.abs(ds) == 1.0 + xm
+            assert np.all((new == ref) | (at_node & (np.abs(new - ref) <= 2.0 * eps)) | edge)
+        top = X.inverse_left(xm)
+        assert P.evaluate_limit([1.0 + xm, -1.0 - xm], "+").tolist() == [1.0, -0.5 * (top + 1.0)]
+        assert P.evaluate_limit([1.0 + xm, -1.0 - xm], "-").tolist() == [0.5 * (top + 1.0), -1.0]
+        assert P.evaluate([1.0 + xm, -1.0 - xm]).tolist() == [0.5 * (top + 1.0), -0.5 * (top + 1.0)]
+        assert P.evaluate([np.inf, -np.inf]).tolist() == [1.0, -1.0]
 
 
 def test_expected_price_linear_on_large_schedules(rng, large_schedules):

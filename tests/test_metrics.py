@@ -10,6 +10,19 @@ from kylepen.metrics import SQRT3
 from conftest import random_shaded_schedule
 
 
+def reference_phi(X, z):
+    """The repartition transform at each z, summed segment by segment."""
+    v0, v1, a, b = X.segment_arrays()
+    out = np.zeros_like(z)
+    for length, g0, g1 in zip(v1 - v0, v0 - a, v1 - b):
+        lo, hi = min(g0, g1), max(g0, g1)
+        if hi == lo:
+            out += np.where(lo >= z, length, 0.0)
+        else:
+            out += length * np.clip((hi - z) / (hi - lo), 0.0, 1.0)
+    return out
+
+
 # ----------------------------------------------------------------------
 # closed forms
 # ----------------------------------------------------------------------
@@ -120,6 +133,26 @@ def test_moment_identities_on_random_schedules(rng):
         m1, m2 = kp.shading_moments(X)
         assert rt.integral() == pytest.approx(m1, abs=1e-12)
         assert 2.0 * rt.first_moment() == pytest.approx(m2, abs=1e-12)
+
+
+def test_moment_identities_on_solved_schedules(large_schedules):
+    # flat shading g = v - X makes phi jump; a 1-ulp interval between
+    # z-nodes (1 - 0.7 next to 0.3 for the linear penalty) must add nothing
+    pens = (kp.LinearPenalty(0.3), kp.ConstantAbovePenalty(0.2, 0.1))
+    for X in [kp.solve_equilibrium(p).schedule for p in pens] + list(large_schedules):
+        rt = kp.repartition_transform(X)
+        m1, m2 = kp.shading_moments(X)
+        assert rt.integral() == pytest.approx(m1, abs=1e-12)
+        assert 2.0 * rt.first_moment() == pytest.approx(m2, abs=1e-12)
+
+
+def test_transform_matches_segment_sum(rng, large_schedules):
+    schedules = [random_shaded_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        rt = kp.repartition_transform(X)
+        nodes = rt.z_nodes[:: max(1, len(rt.z_nodes) // 50)]
+        zs = np.concatenate([rng.uniform(0.0, rt.z_nodes[-1] * 1.1, 100), nodes])
+        assert np.allclose(rt.evaluate(zs), reference_phi(X, zs), rtol=0.0, atol=1e-13)
 
 
 def test_slope_bound_on_solved_schedules(rng):

@@ -6,7 +6,14 @@ import pytest
 import kylepen as kp
 from kylepen.errors import DomainError
 
-from conftest import random_schedule
+from conftest import (
+    random_schedule,
+    reference_integral_upto,
+    reference_inverse_limit,
+    reference_inverse_pieces,
+)
+
+EPS = np.finfo(float).eps
 
 
 # ----------------------------------------------------------------------
@@ -206,3 +213,45 @@ def test_inverse_integral_matches_piece_walk(rng, large_schedules):
     for X in schedules:
         for p, q in _integral_limits(X, rng):
             assert X.inverse_integral(p, q) == reference_inverse_integral(X, p, q)
+
+
+def test_inverse_pieces_match_node_loop(rng, large_schedules):
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    schedules += [kp.DemandSchedule.zero(), kp.DemandSchedule.step_mimic(0.5)]
+    for X in schedules:
+        for new, ref in zip(X._inverse_pieces(), reference_inverse_pieces(X)):
+            assert np.array_equal(new, ref)
+
+
+def test_inverse_limit_matches_scalar_reference(rng, large_schedules):
+    """Same arithmetic off the inverse's nodes.  At a node the scalar walk
+    interpolates to the end of a piece, vlo + 1 * (vhi - vlo), where the map
+    reads vhi: two roundings of numbers in [0, 1] apart."""
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        xm = X.x_max
+        nodes = X.inverse.nodes[:: max(1, len(X.inverse.nodes) // 50)]
+        xs = np.concatenate([rng.uniform(-xm, xm, 60), nodes, -nodes, [0.0, -0.0]])
+        at_node = np.isin(np.abs(xs), X.inverse.nodes)
+        for side in ("-", "+"):
+            outward = xs == (xm if side == "+" else -xm)
+            new = X.inverse_limit(xs, side)
+            ref = np.array([reference_inverse_limit(X, x, side) for x in xs])
+            same = (new == ref) | (at_node & (np.abs(new - ref) <= 2.0 * EPS))
+            assert np.all(same | outward)
+            # the outward limit at +-x_max is the constant tail, +-1
+            assert np.all(new[outward] == (1.0 if side == "+" else -1.0))
+            inverse = X.inverse_left if side == "-" else X.inverse_right
+            assert np.array_equal(inverse(xs), new)
+
+
+def test_integral_upto_matches_segment_walk(rng, large_schedules):
+    """The table interpolates as (x - x0) / (x1 - x0) * (b - a), the walk as
+    (b - a) * (x - x0) / (x1 - x0): each term may move by a few roundings."""
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    for X in schedules:
+        tol = len(X.nodes) * EPS
+        nodes = X.nodes[:: max(1, len(X.nodes) // 40)]
+        vs = np.concatenate([rng.uniform(-1.0, 1.0, 40), nodes, -nodes])
+        for v in vs:
+            assert abs(X.integral_upto(v) - reference_integral_upto(X, v)) <= tol
