@@ -334,6 +334,7 @@ def _cmd_figures(args) -> int:
             "iterations": sol.iterations,
             "residual": sol.residual,
             "converged": sol.converged,
+            "flags": sol.flags,
         }
         _write_gaussian_curves(figure(name, manifest), sol)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .penalties import Penalty
-from .schedules import EDGE_TOL, DemandSchedule
+from .schedules import EDGE_TOL, ORDER_TOL, DemandSchedule
 
 
 # ----------------------------------------------------------------------
@@ -210,30 +210,46 @@ class PriceFunction:
 
     def evaluate_limit(self, d, side: str):
         """One-sided limit of the price at d, elementwise; ``side`` is '-' or '+'."""
-        return self._midpoint(d, side, side)
+        return self._midpoint(d, side, side, at_jumps=True)
 
-    def _midpoint(self, d, side1: str, side2: str):
+    def _midpoint(self, d, side1: str, side2: str, at_jumps: bool = False):
         """(X^-1(d - 1) + X^-1(d + 1)) / 2 with each inverse taken as its
         one-sided limit; past +-x_max the inverse stays at +-1, which
         saturates the price at the support edges.  d -+ 1 rounds, so at
-        d = +-(1 + x_max) the argument that meets the edge is set to it."""
+        d = +-(1 + x_max) the argument that meets the edge is set to it, and
+        ``at_jumps`` reads a jump point's limits at its exact inverse node."""
         shape = np.shape(d)
         d = np.atleast_1d(np.asarray(d, dtype=float))
         xm = self.x_max
         y1, y2 = d - 1.0, d + 1.0
         y1[d == 1.0 + xm] = xm
         y2[d == -1.0 - xm] = -xm
+        if at_jumps:
+            jd, j1, j2 = self._jumps()
+            k = np.searchsorted(jd, d)
+            at = k < len(jd)
+            at[at] = jd[k[at]] == d[at]
+            y1[at], y2[at] = j1[k[at]], j2[k[at]]
         inverse = self.schedule.inverse_limit
         out = 0.5 * (inverse(y1, side1) + inverse(y2, side2))
         return float(out[0]) if shape == () else out.reshape(shape)
+
+    def _jumps(self):
+        """(d, y1, y2): the jump points, sorted, and for each the exact
+        arguments of the inverse, one of them a jump node +-x of it."""
+        inv = self.schedule.inverse
+        x = inv.nodes[inv.left < inv.right]
+        d = np.concatenate((x + 1.0, x - 1.0, -x + 1.0, -x - 1.0))
+        y1 = np.concatenate((x, x - 2.0, -x, -x - 2.0))
+        y2 = np.concatenate((x + 2.0, x, 2.0 - x, -x))
+        d, first = np.unique(d, return_index=True)
+        return d, y1[first], y2[first]
 
     def jump_points(self):
         """Order-flow levels where the price may jump: d = +-x +- 1 at every
         jump x of the inverse (a flat of the demand, the no-trade band at 0
         included, or a flat at the top)."""
-        inv = self.schedule.inverse
-        x = inv.nodes[inv.left < inv.right]
-        return np.unique(np.concatenate((x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)))
+        return self._jumps()[0]
 
     def expected_price(self, x: float) -> float:
         """Average execution price of an order x against uniform noise.
@@ -367,7 +383,7 @@ def verify_equilibrium(
     u = rng.uniform(-1.0, 1.0, mc_samples)
     d = sol.schedule.evaluate(v) + u
     resid = v - sol.price.evaluate(d)
-    edges = np.linspace(d.min(), d.max() + 1e-12, 21)
+    edges = np.linspace(d.min(), d.max() + EDGE_TOL, 21)
     which = np.digitize(d, edges) - 1
     be_ok = True
     worst = 0.0
@@ -377,7 +393,7 @@ def verify_equilibrium(
             continue
         m = resid[sel].mean()
         se = resid[sel].std(ddof=1) / np.sqrt(sel.sum())
-        z = abs(m) / max(se, 1e-15)
+        z = abs(m) / max(se, ORDER_TOL)
         worst = max(worst, z)
         if z > 4.5:
             be_ok = False

@@ -17,7 +17,7 @@ from .equilibrium import solve_demand
 from .errors import DomainError, InfeasibleError
 from .metrics import SQRT3
 from .penalties import ConstantAbovePenalty, SurfaceOptimalPenalty, ZeroPenalty
-from .schedules import DemandSchedule
+from .schedules import EDGE_TOL, ORDER_TOL, DemandSchedule
 
 MAX_EXPECTED_FINE = 1.0 / 12.0  # global maximum of F over the surface
 
@@ -60,7 +60,7 @@ def x_alpha_schedule(K: float, alpha: float) -> DemandSchedule:
     schedules share the same |G| but differ in S."""
     if not 0.0 <= K <= 0.5:
         raise DomainError("K must lie in [0, 1/2]")
-    if not 0.0 <= alpha <= 1.0 - np.sqrt(2.0 * K) + 1e-12:
+    if not 0.0 <= alpha <= 1.0 - np.sqrt(2.0 * K) + EDGE_TOL:
         raise DomainError("alpha must lie in [0, 1 - sqrt(2K)]")
     return solve_demand(ConstantAbovePenalty(K, alpha))
 
@@ -68,7 +68,7 @@ def x_alpha_schedule(K: float, alpha: float) -> DemandSchedule:
 # ----------------------------------------------------------------------
 # pecuniary surface
 # ----------------------------------------------------------------------
-def in_generator_region(v1: float, v2: float, tol: float = 1e-12) -> bool:
+def in_generator_region(v1: float, v2: float, tol: float = EDGE_TOL) -> bool:
     """Membership in J = {(v1, v2) : v2/(1+v2) <= v1 <= v2 <= 1}."""
     return (
         0.0 <= v1 <= v2 + tol
@@ -128,20 +128,20 @@ def fmin_efficient_frontier(f_min: float, grid: int = 400):
     """
     if not math.isfinite(f_min) or f_min < 0.0:
         raise DomainError("fine floor must be a finite non-negative number")
-    if f_min > MAX_EXPECTED_FINE + 1e-12:
+    if f_min > MAX_EXPECTED_FINE + EDGE_TOL:
         raise InfeasibleError(
             "fine floor exceeds the global maximum expected fine 1/12"
         )
     v1, v2, g, s, f = sample_surface(grid)
-    keep = f >= f_min - 1e-15
+    keep = f >= f_min - ORDER_TOL
     if not np.any(keep):
         raise InfeasibleError("no surface point satisfies the fine floor")
     v1, v2, g, s, f = (a[keep] for a in (v1, v2, g, s, f))
     order = np.lexsort((s, -g))  # G descending, S ascending within ties
-    # keep a point only if its S is below every S seen before it by more than 1e-15
+    # keep a point only if its S is below every S seen before it by more than ORDER_TOL
     s_sorted = s[order]
     best_before = np.concatenate(([np.inf], np.minimum.accumulate(s_sorted)[:-1]))
-    kept = order[s_sorted < best_before - 1e-15]
+    kept = order[s_sorted < best_before - ORDER_TOL]
     return list(zip(*(a[kept].tolist() for a in (g, s, v1, v2, f))))
 
 
@@ -150,6 +150,6 @@ def quadratic_upper_boundary(S: float) -> float:
     schedules (the equilibria of quadratic penalties)."""
     lo = 2.0 / (3.0 * SQRT3)
     hi = 1.0 / SQRT3
-    if not lo - 1e-12 <= S <= hi + 1e-12:
+    if not lo - EDGE_TOL <= S <= hi + EDGE_TOL:
         raise DomainError("S outside [2/(3 sqrt 3), 1/sqrt 3]")
     return SQRT3 * S - 1.0 + 1.5 * (1.0 - SQRT3 * S) ** 2

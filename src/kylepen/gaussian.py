@@ -11,6 +11,24 @@ A flat continuation would make large orders look artificially cheap (the
 price would stop rising past the grid edge) and drive the best response to
 the boundary; the linear continuation keeps the zero-penalty fixed point at
 the exact linear equilibrium up to quadrature error.
+
+Each kernel does only the work the game's symmetry leaves: the demand is
+odd, so the price is odd and the penalty is even.
+- ``gaussian_price_update`` prices the odd part (X(v) - X(-v)) / 2 of the
+  demand it is given.  It integrates the order flows d > 0 only, with the
+  kernel built in place and one matrix product for the posterior mass and
+  mean, and mirrors them: P(-d) = -P(d), P(0) = 0.
+- Phat(x) = E[P(x + u)] is a discrete correlation, since every x + u is a
+  node of the extended grid.
+- ``gaussian_best_response`` responds to the odd part of its price.  For
+  v >= 0 the objective gains 2xv from -x to x, so the rows v >= 0 are solved
+  on the orders x >= 0 and mirrored.
+
+A solution's ``flags`` hold ``monotone``, ``underflow_fills`` (how many
+order flows of the final price had a posterior mass of at most 1e-290 and
+took the price of the nearest well-conditioned flow toward 0) and
+``true_residual``, max |BR(X) - X| at the returned X; ``residual`` is the
+last damped step.
 """
 
 from __future__ import annotations
@@ -93,54 +111,67 @@ def _extend_demand(X: np.ndarray, grid: GaussianGrid) -> np.ndarray:
     return out
 
 
-def _price_on(d_pts: np.ndarray, X_ext: np.ndarray, grid: GaussianGrid) -> np.ndarray:
-    """P(d) = E[v | X(v) + u = d] by trapezoid quadrature over the extended
-    v-grid; underflowing posteriors are filled from the nearest
-    well-conditioned value."""
+def _odd_part(a: np.ndarray) -> np.ndarray:
+    """(a(t) - a(-t)) / 2 on a symmetric grid."""
+    a = np.asarray(a, dtype=float)
+    return 0.5 * (a - a[::-1])
+
+
+def _price_on(d_pts: np.ndarray, X: np.ndarray, grid: GaussianGrid) -> tuple[np.ndarray, int]:
+    """P(d) = E[v | X(v) + u = d] on a symmetric d-grid for an odd X on the
+    v-grid, and the number of order flows whose posterior underflowed.
+
+    Trapezoid quadrature over the extended v-grid, on the rows d > 0 only:
+    P(0) = 0 and P(-d) = -P(d).  A row whose posterior mass is at most
+    1e-290 takes the price of the nearest well-conditioned row toward d = 0.
+    """
     v_ext = grid.extended_points
-    w = grid.trap_weights(v_ext)
-    kern = _normal_pdf(d_pts[:, None] - X_ext[None, :]) * (_normal_pdf(v_ext) * w)[None, :]
-    denom = kern.sum(axis=1)
-    num = kern @ v_ext
+    # the weights carry the kernel's 1/sqrt(2 pi) too, so the kernel is a bare exp
+    wphi = _normal_pdf(v_ext) * grid.trap_weights(v_ext) * _INV_SQRT_2PI
+    mid = len(d_pts) // 2
+    kern = np.subtract.outer(d_pts[mid + 1 :], _extend_demand(X, grid))
+    np.square(kern, out=kern)
+    kern *= -0.5
+    np.exp(kern, out=kern)
+    denom, num = (kern @ np.stack((wphi, wphi * v_ext), axis=1)).T
     good = denom > 1e-290
-    P = np.zeros_like(d_pts)
-    P[good] = num[good] / denom[good]
-    if not np.all(good):
-        mid = len(d_pts) // 2
-        for i in range(mid + 1, len(d_pts)):
-            if not good[i]:
-                P[i] = P[i - 1]
-        for i in range(mid - 1, -1, -1):
-            if not good[i]:
-                P[i] = P[i + 1]
-    return P
+    ratio = np.zeros(len(good) + 1)  # ratio[0] is P(0)
+    np.divide(num, denom, out=ratio[1:], where=good)
+    # each row reads the last well-conditioned row at or below it
+    last = np.maximum.accumulate(np.where(good, np.arange(1, len(good) + 1), 0))
+    P_pos = ratio[last]
+    P = np.concatenate((-P_pos[::-1], [0.0], P_pos))
+    return P, 2 * int(np.count_nonzero(~good))
 
 
 def gaussian_price_update(X: np.ndarray, grid: GaussianGrid, extended: bool = False) -> np.ndarray:
     """Break-even price for a demand sampled on the v-grid.
 
-    With ``extended=True`` the price is returned on the quadrature grid
+    The price is odd: it is the price of the odd part (X(v) - X(-v)) / 2 of
+    the demand given, which is X itself for an odd X.  With
+    ``extended=True`` the price is returned on the quadrature grid
     [-2L, 2L], which is what the fixed-point iteration itself consumes;
     otherwise on the reported d-grid."""
     d = grid.extended_points if extended else grid.points
-    return _price_on(d, _extend_demand(X, grid), grid)
+    return _price_on(d, _odd_part(X), grid)[0]
 
 
 def expected_price_gaussian(P: np.ndarray, grid: GaussianGrid) -> np.ndarray:
     """Phat(x) = E_u[P(x + u)] on the x-grid.
 
     ``P`` may be sampled on either the reported grid or the extended grid;
-    outside its sample range it is continued by its edge values.
+    outside its sample range it is continued by its edge values.  Every
+    x + u is a node of the extended grid, so the trapezoid sum is a discrete
+    correlation of P with the weights.
     """
+    P = np.asarray(P, dtype=float)
     if len(P) == grid.n:
-        d = grid.points
-    else:
-        d = grid.extended_points
+        P = np.pad(P, grid.pad, mode="edge")
+    elif len(P) != grid.n + 2 * grid.pad:
+        raise DomainError("price must be sampled on the reported or the extended grid")
     u = grid.points
     wphi = _normal_pdf(u) * grid.trap_weights(u)
-    x = grid.points
-    samples = np.interp(x[:, None] + u[None, :], d, P)
-    return samples @ wphi
+    return np.convolve(P, wphi[::-1], "valid")
 
 
 def gaussian_best_response(
@@ -151,18 +182,24 @@ def gaussian_best_response(
     tie_tol: float = 1e-9,
 ) -> np.ndarray:
     """Per-v maximiser of x(v - Phat(x)) - C(x) over the x-grid with golden
-    refinement; ties go to the smaller |x|."""
-    phat = expected_price_gaussian(P, grid)
-    v = grid.points
+    refinement; ties go to the smaller |x|.
+
+    The response is to the odd part of ``P``, so it is odd.  Phat is then
+    odd and C even, and for v >= 0 the objective gains 2xv from -x to x; so
+    the rows v >= 0 are solved on the orders x >= 0 and mirrored."""
+    phat = expected_price_gaussian(_odd_part(P), grid)
     x = grid.points
+    mid = grid.pad  # the index of v = 0 and of x = 0
+    v, xp = x[mid:], x[mid:]
 
     def objective(xq, vq):
         return xq * (vq - np.interp(xq, x, phat)) - penalty.value_extended(xq)
 
-    m = x[None, :] * (v[:, None] - phat[None, :]) - penalty.value_extended(x)[None, :]
-    i = np.argmax(m, axis=1)
-    lo = x[np.maximum(i - 1, 0)].copy()
-    hi = x[np.minimum(i + 1, grid.n - 1)].copy()
+    m = np.multiply.outer(v, xp)
+    m -= xp * phat[mid:] + penalty.value_extended(xp)
+    i = mid + np.argmax(m, axis=1)  # on the full x-grid, so x = 0 brackets from -h
+    lo = x[i - 1]
+    hi = x[np.minimum(i + 1, grid.n - 1)]
     for _ in range(64):
         gap = hi - lo
         if gap.max() < bracket_tol:
@@ -174,17 +211,14 @@ def gaussian_best_response(
         lo = np.where(better_left, lo, x1)
     refined = 0.5 * (lo + hi)
 
-    cands = [refined, np.zeros_like(v)]
-    for b in penalty.breakpoints():
-        cands.append(np.full_like(v, b))
-        cands.append(np.full_like(v, -b))
-    xc = np.stack(cands)
-    vals = np.stack([objective(c, v) for c in cands])
+    # -b never beats b when v >= 0
+    xc = np.stack([refined, np.zeros_like(v), *(np.full_like(v, b) for b in penalty.breakpoints())])
+    vals = np.stack([objective(c, v) for c in xc])
     top = vals.max(axis=0)
     eligible = vals >= top - tie_tol
     absx = np.where(eligible, np.abs(xc), np.inf)
-    pick = np.argmin(absx, axis=0)
-    return xc[pick, np.arange(grid.n)]
+    X_pos = xc[np.argmin(absx, axis=0), np.arange(len(v))]
+    return np.concatenate((-X_pos[:0:-1], X_pos))
 
 
 def gaussian_fixed_point(
@@ -207,26 +241,25 @@ def gaussian_fixed_point(
         raise DomainError("max_iter must be at least 1")
     if grid is None:
         grid = GaussianGrid()
-    v = grid.points
     d_ext = grid.extended_points
-    X = v.copy()  # start from the mimicking schedule
+    X = _odd_part(grid.points)  # start from the mimicking schedule
     residual = np.inf
     converged = False
     it = 0
-    P_ext = _price_on(d_ext, _extend_demand(X, grid), grid)
+    P_ext, fills = _price_on(d_ext, X, grid)
     for it in range(1, max_iter + 1):
         X_new = gaussian_best_response(P_ext, penalty, grid)
-        X_next = (1.0 - damping) * X + damping * X_new
-        X_next = 0.5 * (X_next - X_next[::-1])  # enforce oddness
+        X_next = _odd_part((1.0 - damping) * X + damping * X_new)  # enforce oddness
         residual = float(np.max(np.abs(X_next - X)))
         X = X_next
-        P_ext = _price_on(d_ext, _extend_demand(X, grid), grid)
+        P_ext, fills = _price_on(d_ext, X, grid)
         if residual < tol:
             converged = True
             break
     P = P_ext[grid.pad : grid.pad + grid.n]
     phat = expected_price_gaussian(P_ext, grid)
     monotone = bool(np.all(np.diff(X) >= -10.0 * tol))
+    true_residual = float(np.max(np.abs(gaussian_best_response(P_ext, penalty, grid) - X)))
     return GaussianSolution(
         grid=grid,
         X=X,
@@ -235,5 +268,5 @@ def gaussian_fixed_point(
         iterations=it,
         residual=residual,
         converged=converged,
-        flags={"monotone": monotone},
+        flags={"monotone": monotone, "underflow_fills": fills, "true_residual": true_residual},
     )

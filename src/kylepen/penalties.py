@@ -16,12 +16,13 @@ from numbers import Real
 import numpy as np
 
 from .errors import DomainError
+from .schedules import EDGE_TOL, ORDER_TOL
 
 
 def _as_pos_array(x):
     """Return (|x| array, scalar flag) after the |x| <= 1 domain check."""
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    if np.any(np.abs(arr) > 1.0 + EDGE_TOL):
         raise DomainError("penalty argument outside [-1, 1]")
     return np.abs(arr), arr.ndim == 0
 
@@ -370,11 +371,11 @@ def validate(penalty: Penalty) -> ValidationReport:
     a, b, c0, c1, c2, _ = np.asarray(penalty.pieces(), dtype=float).T
     start, vertex, end = _extremes(a, b, c0, c1, c2)  # start is the right limit C(a+)
     # C(0) = 0 holds by construction: the evaluator's leading zero row.
-    if not np.all(np.array((start, vertex, end)) >= -1e-15):
+    if not np.all(np.array((start, vertex, end)) >= -ORDER_TOL):
         return ValidationReport(False, "nonnegative")
-    if not np.all(start >= np.concatenate(([0.0], end[:-1])) - 1e-12):  # C(a+) >= C(a)
+    if not np.all(start >= np.concatenate(([0.0], end[:-1])) - EDGE_TOL):  # C(a+) >= C(a)
         return ValidationReport(False, "left-continuous (downward jump)")
-    if not np.all(np.maximum(start - vertex, vertex - end) <= 1e-12):  # the largest drop inside a piece
+    if not np.all(np.maximum(start - vertex, vertex - end) <= EDGE_TOL):  # the largest drop inside a piece
         return ValidationReport(False, "non-decreasing")
     return ValidationReport(True)
 

@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import DomainError
 
-EDGE_TOL = 1e-12  # an argument this far past the edge of its domain is on the edge
-ORDER_TOL = 1e-15  # one-sided values may be out of order by this much rounding
+# rounding slack, shared by every module
+EDGE_TOL = 1e-12  # a quantity this far past a bound it should meet is on it
+ORDER_TOL = 1e-15  # values this far out of order, or below zero, are in order
 _LARGEST = np.finfo(float).max
 
 

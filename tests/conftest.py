@@ -168,14 +168,26 @@ def reference_integral_upto(X, v):
 
 
 def reference_evaluate_limit(P, d, side):
-    """One-sided limit of the price at a scalar d, saturating case by case."""
+    """One-sided limit of the price at a scalar d, saturating case by case.
+    A jump point d = +-x +- 1 stands for a jump x of the inverse, and there
+    the inverse is read at +-x itself, which d -+ 1 would round off."""
     xm = P.x_max
     if d > 1.0 + xm or (d == 1.0 + xm and side == "+"):
         return 1.0
     if d < -(1.0 + xm) or (d == -(1.0 + xm) and side == "-"):
         return -1.0
+    args = (d - 1.0, d + 1.0)
+    for x in _reference_jump_levels(P):
+        for dj, exact in (
+            (x + 1.0, (x, x + 2.0)),
+            (x - 1.0, (x - 2.0, x)),
+            (-x + 1.0, (-x, 2.0 - x)),
+            (-x - 1.0, (-x - 2.0, -x)),
+        ):
+            if d == dj:
+                args = exact
     terms = []
-    for y in (d - 1.0, d + 1.0):
+    for y in args:
         if y < -xm or (y == -xm and side == "-"):
             terms.append(-1.0)
         elif y > xm or (y == xm and side == "+"):
@@ -185,8 +197,8 @@ def reference_evaluate_limit(P, d, side):
     return 0.5 * (terms[0] + terms[1])
 
 
-def reference_jump_points(P):
-    """Sorted order-flow levels of the price jumps, collected piece by piece."""
+def _reference_jump_levels(P):
+    """Levels x >= 0 at which the inverse jumps, collected piece by piece."""
     xlo, xhi, vlo, vhi = reference_inverse_pieces(P.schedule)
     levels = set()
     for k in range(len(xlo) - 1):
@@ -199,7 +211,82 @@ def reference_jump_points(P):
             levels.add(float(xhi[-1]))  # flat at the top of the schedule
     else:
         levels.add(0.0)  # identically-zero schedule
+    return sorted(levels)
+
+
+def reference_jump_points(P):
+    """Sorted order-flow levels of the price jumps."""
+    levels = _reference_jump_levels(P)
     return sorted({d for x in levels for d in (x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)})
+
+
+def _reference_normal_pdf(t):
+    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+
+
+def reference_price_on(d_pts, X_ext, grid):
+    """Dense Gaussian price update on every row of the d-grid, for any
+    extended demand, and the number of rows filled after the posterior
+    underflowed."""
+    v_ext = grid.extended_points
+    w = grid.trap_weights(v_ext)
+    kern = _reference_normal_pdf(d_pts[:, None] - X_ext[None, :]) * (_reference_normal_pdf(v_ext) * w)[None, :]
+    denom = kern.sum(axis=1)
+    num = kern @ v_ext
+    good = denom > 1e-290
+    P = np.zeros_like(d_pts)
+    P[good] = num[good] / denom[good]
+    mid = len(d_pts) // 2
+    for i in range(mid + 1, len(d_pts)):
+        if not good[i]:
+            P[i] = P[i - 1]
+    for i in range(mid - 1, -1, -1):
+        if not good[i]:
+            P[i] = P[i + 1]
+    return P, int(np.count_nonzero(~good))
+
+
+def reference_expected_price_gaussian(P, grid):
+    """Phat(x) = E_u[P(x + u)] by interpolating P at every x + u."""
+    d = grid.points if len(P) == grid.n else grid.extended_points
+    u = grid.points
+    wphi = _reference_normal_pdf(u) * grid.trap_weights(u)
+    return np.interp(grid.points[:, None] + u[None, :], d, P) @ wphi
+
+
+def reference_gaussian_objective(P, penalty, grid):
+    """x(v - Phat(x)) - C(x) with Phat interpolated from its x-grid values."""
+    phat = reference_expected_price_gaussian(P, grid)
+    return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - penalty.value_extended(xq)
+
+
+def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol=1e-9):
+    """Gaussian best response on the full v-by-x grid: dense argmax, golden
+    refinement, then the smallest |x| among candidates within tie_tol."""
+    objective = reference_gaussian_objective(P, penalty, grid)
+    phat = reference_expected_price_gaussian(P, grid)
+    v = x = grid.points
+    m = x[None, :] * (v[:, None] - phat[None, :]) - penalty.value_extended(x)[None, :]
+    i = np.argmax(m, axis=1)
+    lo = x[np.maximum(i - 1, 0)]
+    hi = x[np.minimum(i + 1, grid.n - 1)]
+    for _ in range(64):
+        gap = hi - lo
+        if gap.max() < bracket_tol:
+            break
+        x1 = hi - (np.sqrt(5.0) - 1.0) / 2.0 * gap
+        x2 = lo + (np.sqrt(5.0) - 1.0) / 2.0 * gap
+        better_left = objective(x1, v) >= objective(x2, v)
+        hi = np.where(better_left, x2, hi)
+        lo = np.where(better_left, lo, x1)
+    cands = [0.5 * (lo + hi), np.zeros_like(v)]
+    for b in penalty.breakpoints():
+        cands += [np.full_like(v, b), np.full_like(v, -b)]
+    xc = np.stack(cands)
+    vals = np.stack([objective(c, v) for c in cands])
+    eligible = vals >= vals.max(axis=0) - tie_tol
+    pick = np.argmin(np.where(eligible, np.abs(xc), np.inf), axis=0)
+    return xc[pick, np.arange(grid.n)]
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from conftest import (
     random_schedule,
     random_tabulated_penalty,
     reference_evaluate_limit,
+    reference_inverse_pieces,
     reference_jump_points,
 )
 
@@ -289,6 +290,34 @@ def test_price_jump_where_demand_is_flat():
     assert hi - lo > 0.1
 
 
+def test_price_limits_jump_by_half_the_inverse_jump(large_schedules):
+    # a jump of the inverse at level x (a flat of the demand) moves one of
+    # the two terms of the price at each d = +-x +- 1; the other term is
+    # saturated there, so the price jumps by half the inverse's jump
+    eps = np.finfo(float).eps
+    schedules = [solve_demand(kp.ConstantAbovePenalty(0.2, 0.1)), *large_schedules]
+    for X in schedules:
+        P = kp.PriceFunction(X)
+        xlo, xhi, vlo, vhi = reference_inverse_pieces(X)
+        levels, sizes = [0.0], [2.0 * vlo[0]]  # the inverse jumps from -vlo[0] to vlo[0] at 0
+        for k in range(len(xlo) - 1):
+            if vhi[k] < vlo[k + 1]:
+                levels.append(xhi[k])
+                sizes.append(vlo[k + 1] - vhi[k])
+        levels.append(xhi[-1])
+        sizes.append(1.0 - vhi[-1])  # past x_max the inverse is 1
+        levels, sizes = np.array(levels), np.array(sizes)
+        d = P.jump_points()
+        k = np.abs(levels[None, :] - np.abs(np.abs(d) - 1.0)[:, None]).argmin(axis=1)
+        gap = P.evaluate_limit(d, "+") - P.evaluate_limit(d, "-")
+        assert np.all(sizes[k] > 0.0)
+        assert np.all(np.abs(gap - 0.5 * sizes[k]) <= 2.0 * eps)
+    P = kp.price_function(schedules[0])
+    d = P.jump_points()
+    assert d.tolist() == [-1.1, -0.9, 0.9, 1.1]
+    assert np.allclose(P.evaluate_limit(d, "-"), [-0.8662277660168379, -0.45, 0.1337722339831621, 0.55])
+    assert np.allclose(P.evaluate_limit(d, "+"), [-0.55, -0.1337722339831621, 0.45, 0.8662277660168379])
+
 # ----------------------------------------------------------------------
 # orchestration and verification
 # ----------------------------------------------------------------------
@@ -364,12 +393,13 @@ def test_price_sample_rows_match_scalar_reference(rng, large_schedules):
 
 
 def test_price_limits_and_jumps_match_scalar_reference(rng, large_schedules):
-    """Jump levels are bit-identical; a limit is too unless d - 1 or d + 1
-    is a node of the inverse, where the scalar walk adds the two roundings
-    of vlo + 1 * (vhi - vlo) in place of the stored vhi.  At the support
-    edges d = +-(1 + x_max) the price saturates on the outer side and takes
-    the inverse's value at +-x_max on the inner one, whichever way d -+ 1
-    rounds."""
+    """Jump levels are bit-identical; a limit is too unless it reads the
+    inverse at one of its nodes (d - 1 or d + 1 is one, or d is a jump
+    point, which reads its node exactly), where the scalar walk adds the two
+    roundings of vlo + 1 * (vhi - vlo) in place of the stored vhi.  At the
+    support edges d = +-(1 + x_max) the price saturates on the outer side
+    and takes the inverse's value at +-x_max on the inner one, whichever way
+    d -+ 1 rounds."""
     schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
     schedules.append(kp.DemandSchedule.zero())
     eps = np.finfo(float).eps
@@ -380,7 +410,7 @@ def test_price_limits_and_jumps_match_scalar_reference(rng, large_schedules):
         xm = P.x_max
         ds = np.concatenate([jumps[:: max(1, len(jumps) // 80)], rng.uniform(-2.5, 2.5, 60)])
         nodes = X.inverse.nodes
-        at_node = np.isin(np.abs(ds - 1.0), nodes) | np.isin(np.abs(ds + 1.0), nodes)
+        at_node = np.isin(np.abs(ds - 1.0), nodes) | np.isin(np.abs(ds + 1.0), nodes) | np.isin(ds, jumps)
         for side in ("-", "+"):
             new = P.evaluate_limit(ds, side)
             ref = np.array([reference_evaluate_limit(P, d, side) for d in ds])

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 import kylepen as kp
+from conftest import (
+    reference_expected_price_gaussian,
+    reference_gaussian_best_response,
+    reference_gaussian_objective,
+    reference_price_on,
+)
 from kylepen.errors import DomainError
 from kylepen.gaussian import (
     GaussianGrid,
+    _extend_demand,
+    _price_on,
     expected_price_gaussian,
     gaussian_best_response,
     gaussian_price_update,
@@ -122,3 +130,69 @@ def test_non_convergence_flag():
     )
     assert not sol.converged
     assert sol.iterations == 2
+
+
+# the dense kernels are the oracles of the symmetric ones; the posterior
+# underflows on some rows of the two widest grids, where the fill engages
+PARITY_GRIDS = [GaussianGrid(), GaussianGrid(10.0, 201), GaussianGrid(20.0, 201), GaussianGrid(38.0, 101)]
+PARITY_PENALTIES = [
+    kp.ZeroPenalty(),
+    kp.QuadraticPenalty(2.0),
+    kp.ConstantAbovePenalty(1.0, 0.5),
+    kp.TabulatedPenalty([[0.0, 0.0, False], [0.3, 0.05, True, 0.25], [1.0, 0.4, False]]),
+]
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=lambda g: f"L{g.L:g}-n{g.n}")
+def test_symmetric_kernels_match_the_dense_oracles(grid, monkeypatch):
+    d_ext = grid.extended_points
+    mid = grid.pad
+    fills = 0
+    for pen in PARITY_PENALTIES:
+        # an odd demand with the penalty's flats and jumps: the response to the linear price
+        X = reference_gaussian_best_response(d_ext / 2.0, pen, grid)
+        X = 0.5 * (X - X[::-1])
+        for d in (d_ext, grid.points):
+            ref, ref_fills = reference_price_on(d, _extend_demand(X, grid), grid)
+            new, new_fills = _price_on(d, X, grid)
+            assert np.max(np.abs(new - ref)) <= 1e-12
+            assert new_fills == ref_fills
+            assert np.array_equal(gaussian_price_update(X, grid, extended=len(d) > grid.n), new)
+            fills += new_fills
+        P = gaussian_price_update(X, grid, extended=True)  # odd, so both responses read the same price
+        for Pg in (P, P[mid : mid + grid.n]):
+            phat = expected_price_gaussian(Pg, grid)
+            assert np.max(np.abs(phat - reference_expected_price_gaussian(Pg, grid))) <= 1e-12
+
+        # the response is odd, and it may differ from the oracle's only where
+        # the oracle's objective ties the two within tie_tol
+        objective = reference_gaussian_objective(P, pen, grid)
+        ref = reference_gaussian_best_response(P, pen, grid)
+        new = gaussian_best_response(P, pen, grid)
+        assert np.array_equal(new[:mid], -new[: mid : -1])
+        assert np.all((new == ref) | (np.abs(objective(new, grid.points) - objective(ref, grid.points)) <= 1e-9))
+        # given the oracle's own Phat, the rows v >= 0 are the oracle's bit for bit
+        with monkeypatch.context() as m:
+            m.setattr(kp.gaussian, "expected_price_gaussian", reference_expected_price_gaussian)
+            assert np.array_equal(gaussian_best_response(P, pen, grid)[mid:], ref[mid:])
+    assert (fills > 0) == (grid.L >= 20.0)
+
+
+def test_fixed_point_reports_fills_and_true_residual():
+    pen = kp.ConstantAbovePenalty(1.0, 0.5)
+    sol = kp.gaussian_fixed_point(pen, grid=SMALL, tol=2e-3)
+    P = gaussian_price_update(sol.X, SMALL, extended=True)
+    assert sol.flags["true_residual"] == float(np.max(np.abs(gaussian_best_response(P, pen, SMALL) - sol.X)))
+    assert sol.flags["underflow_fills"] == 0
+    wide = GaussianGrid(38.0, 101)
+    sol = kp.gaussian_fixed_point(kp.ZeroPenalty(), grid=wide, max_iter=3)
+    fills = reference_price_on(wide.extended_points, _extend_demand(sol.X, wide), wide)[1]
+    assert sol.flags["underflow_fills"] == fills > 0
+
+
+def test_price_update_prices_the_odd_part():
+    rng = np.random.default_rng(8)
+    X = np.sort(rng.normal(size=SMALL.n)) + 0.3
+    P = gaussian_price_update(X, SMALL)
+    assert np.array_equal(P, gaussian_price_update(0.5 * (X - X[::-1]), SMALL))
+    assert np.array_equal(P, -P[::-1])
