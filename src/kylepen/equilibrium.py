@@ -206,33 +206,41 @@ class PriceFunction:
         return self.evaluate(d)
 
     def evaluate(self, d):
-        return self._midpoint(d, "-", "+")
+        lo, hi = self.interval(d)
+        return 0.5 * (lo + hi)
 
     def evaluate_limit(self, d, side: str):
         """One-sided limit of the price at d, elementwise; ``side`` is '-' or '+'."""
-        return self._midpoint(d, side, side, at_jumps=True)
+        lo, hi = self.interval(d, side)
+        return 0.5 * (lo + hi)
 
-    def _midpoint(self, d, side1: str, side2: str, at_jumps: bool = False):
-        """(X^-1(d - 1) + X^-1(d + 1)) / 2 with each inverse taken as its
-        one-sided limit; past +-x_max the inverse stays at +-1, which
-        saturates the price at the support edges.  d -+ 1 rounds, so at
-        d = +-(1 + x_max) the argument that meets the edge is set to it, and
-        ``at_jumps`` reads a jump point's limits at its exact inverse node."""
+    def interval(self, d, side=None):
+        """(X^-1(d - 1), X^-1(d + 1)) elementwise: the interval of fundamentals
+        consistent with the order flow d, whose midpoint is the price.  With
+        ``side`` None the ends are the left and the right inverse, the
+        posterior interval on which v is uniform; with '-' or '+' both ends
+        are that one-sided limit, and a jump point's are read at its exact
+        inverse node.  Past +-x_max the inverse stays at +-1, which saturates
+        the price at the support edges.  d -+ 1 rounds, so at
+        d = +-(1 + x_max) the argument that meets the edge is set to it."""
         shape = np.shape(d)
         d = np.atleast_1d(np.asarray(d, dtype=float))
         xm = self.x_max
         y1, y2 = d - 1.0, d + 1.0
         y1[d == 1.0 + xm] = xm
         y2[d == -1.0 - xm] = -xm
-        if at_jumps:
+        if side is not None:
             jd, j1, j2 = self._jumps()
             k = np.searchsorted(jd, d)
             at = k < len(jd)
             at[at] = jd[k[at]] == d[at]
             y1[at], y2[at] = j1[k[at]], j2[k[at]]
         inverse = self.schedule.inverse_limit
-        out = 0.5 * (inverse(y1, side1) + inverse(y2, side2))
-        return float(out[0]) if shape == () else out.reshape(shape)
+        side1, side2 = ("-", "+") if side is None else (side, side)
+        lo, hi = inverse(y1, side1), inverse(y2, side2)
+        if shape == ():
+            return float(lo[0]), float(hi[0])
+        return lo.reshape(shape), hi.reshape(shape)
 
     def _jumps(self):
         """(d, y1, y2): the jump points, sorted, and for each the exact
@@ -251,42 +259,17 @@ class PriceFunction:
         included, or a flat at the top)."""
         return self._jumps()[0]
 
-    def expected_price(self, x: float) -> float:
-        """Average execution price of an order x against uniform noise.
-
-        Exact piecewise integration of (1/2) * integral of P over
-        [x-1, x+1]; no quadrature error beyond arithmetic.
-        """
-        if abs(x) > 1.0 + EDGE_TOL:
+    def expected_price(self, x):
+        """Average execution price of an order x against uniform noise,
+        elementwise: half the integral of P over [x - 1, x + 1], which is the
+        inverse's integral over [x - 2, x + 2] over 4.  The inverse stays at
+        +-1 past +-x_max, so its even antiderivative saturates the tails;
+        exact up to arithmetic."""
+        if np.any(np.abs(x) > 1.0 + EDGE_TOL):
             raise DomainError("order outside [-1, 1]")
-        xm = self.x_max
-        a = x - 1.0
-        b = x + 1.0
-        total = 0.0
-        # saturated tails of P
-        hi_cut = 1.0 + xm
-        if b > hi_cut:
-            total += 1.0 * (b - max(a, hi_cut))
-            b = hi_cut
-        if a < -hi_cut:
-            total += -1.0 * (min(b, -hi_cut) - a)
-            a = -hi_cut
-        if b > a:
-            # left-inverse term over y = z - 1 in [a-1, b-1], clamped below
-            ya, yb = a - 1.0, b - 1.0
-            if ya < -xm:
-                total += 0.5 * (-1.0) * (min(yb, -xm) - ya)
-                ya = -xm
-            if yb > ya:
-                total += 0.5 * self.schedule.inverse_integral(ya, yb)
-            # right-inverse term over y = z + 1 in [a+1, b+1], clamped above
-            ya, yb = a + 1.0, b + 1.0
-            if yb > xm:
-                total += 0.5 * 1.0 * (yb - max(ya, xm))
-                yb = xm
-            if yb > ya:
-                total += 0.5 * self.schedule.inverse_integral(ya, yb)
-        return 0.5 * total
+        x = np.asarray(x, dtype=float)
+        A = self.schedule.inverse.integral
+        return (A(x + 2.0) - A(x - 2.0)) / 4.0
 
     def sample_rows(self, n: int = 1001):
         """(d, P(d)) rows on a uniform grid over the full pricing domain,
@@ -365,7 +348,7 @@ def verify_equilibrium(
     rng = np.random.default_rng(seed)
 
     xs = rng.uniform(-1.0, 1.0, probes)
-    err = max(abs(sol.price.expected_price(x) - 0.5 * x) for x in xs)
+    err = np.max(np.abs(sol.price.expected_price(xs) - 0.5 * xs))
     linear_ok = err <= tol
 
     vs = rng.uniform(0.0, 1.0, probes)
@@ -380,19 +363,25 @@ def verify_equilibrium(
     opt_ok = opt_gap <= tol
 
     v = rng.uniform(-1.0, 1.0, mc_samples)
-    u = rng.uniform(-1.0, 1.0, mc_samples)
-    d = sol.schedule.evaluate(v) + u
+    d = sol.schedule.evaluate(v) + rng.uniform(-1.0, 1.0, mc_samples)  # noise u, not kept
     resid = v - sol.price.evaluate(d)
     edges = np.linspace(d.min(), d.max() + EDGE_TOL, 21)
-    which = np.digitize(d, edges) - 1
+    which = (np.digitize(d, edges) - 1).astype(np.int8)
+    del v, d
+    # a stable sort by bin (a radix sort on int8) keeps each bin's draws in
+    # draw order, so every slice below holds resid[which == k] as it was
+    resid = resid[np.argsort(which, kind="stable")]
+    counts = np.bincount(which, minlength=20)
+    starts = np.cumsum(counts) - counts
     be_ok = True
     worst = 0.0
     for k in range(20):
-        sel = which == k
-        if sel.sum() < 200:
+        n = counts[k]
+        if n < 200:
             continue
-        m = resid[sel].mean()
-        se = resid[sel].std(ddof=1) / np.sqrt(sel.sum())
+        r = resid[starts[k] : starts[k] + n]
+        m = r.mean()
+        se = r.std(ddof=1) / np.sqrt(n)
         z = abs(m) / max(se, ORDER_TOL)
         worst = max(worst, z)
         if z > 4.5:

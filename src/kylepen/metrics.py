@@ -100,27 +100,25 @@ def _estimate(samples: np.ndarray) -> Estimate:
 def monte_carlo_metrics(sol, n: int, seed: int) -> MonteCarloMetrics:
     """Simulation-based (G, S, Pi_N, F) with 99% confidence intervals.
 
-    S uses the fact that the fundamental is uniform on an interval given the
-    order flow, so its conditional standard deviation is the interval length
-    over 2*sqrt(3); this removes a nested sampling layer.
+    Given the order flow the fundamental is uniform on the posterior
+    interval of ``PriceFunction.interval``: the price is its midpoint and
+    the conditional standard deviation behind S its length over 2*sqrt(3),
+    so one interval read per draw serves both and no nested sampling layer
+    is needed.
     """
     if n < 2:
         raise DomainError("Monte Carlo metrics need at least 2 draws")
     rng = np.random.default_rng(seed)
     schedule: DemandSchedule = sol.schedule
     penalty: Penalty = sol.penalty
-    price = sol.price
-    xm = schedule.x_max
 
     v = rng.uniform(-1.0, 1.0, n)
     u = rng.uniform(-1.0, 1.0, n)
     x = schedule.evaluate(v)
-    d = x + u
-    p = price.evaluate(d)
+    lo, hi = sol.price.interval(x + u)
+    p = 0.5 * (lo + hi)
 
     g_samples = u * (v - p)
-    lo = schedule.inverse_left(np.clip(d - 1.0, -xm, xm))
-    hi = schedule.inverse_right(np.clip(d + 1.0, -xm, xm))
     s_samples = (hi - lo) / (2.0 * SQRT3)
     f_samples = penalty.value(x)
     pi_samples = x * (v - p) - f_samples

@@ -67,7 +67,8 @@ class OddMap:
         at = off == 0.0
         np.logical_and(at, np.logical_not(upper), out=at)
         out[at] = self.left[k[at]]
-        np.negative(out, out=out, where=x < 0)
+        del k, off  # the mirror below allocates two arrays of this size
+        out = np.where(x < 0, -out, out)
         return float(out[0]) if shape == () else out.reshape(shape)
 
     def integral(self, t):

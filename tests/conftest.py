@@ -220,6 +220,84 @@ def reference_jump_points(P):
     return sorted({d for x in levels for d in (x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)})
 
 
+def reference_expected_price(P, x):
+    """E[P(x + u)] at a scalar x by the saturated-tail case list: the tails
+    of P past +-(1 + x_max), then each inverse term clamped at +-x_max."""
+    xm = P.x_max
+    inverse_integral = P.schedule.inverse_integral
+    a, b = x - 1.0, x + 1.0
+    total = 0.0
+    hi_cut = 1.0 + xm
+    if b > hi_cut:
+        total += b - max(a, hi_cut)
+        b = hi_cut
+    if a < -hi_cut:
+        total -= min(b, -hi_cut) - a
+        a = -hi_cut
+    if b > a:
+        ya, yb = a - 1.0, b - 1.0
+        if ya < -xm:
+            total -= 0.5 * (min(yb, -xm) - ya)
+            ya = -xm
+        if yb > ya:
+            total += 0.5 * inverse_integral(ya, yb)
+        ya, yb = a + 1.0, b + 1.0
+        if yb > xm:
+            total += 0.5 * (yb - max(ya, xm))
+            yb = xm
+        if yb > ya:
+            total += 0.5 * inverse_integral(ya, yb)
+    return 0.5 * total
+
+
+def reference_break_even(sol, seed=0, probes=32, mc_samples=200_000):
+    """(break_even, break_even_max_z) of verify_equilibrium by one boolean
+    mask per order-flow bin, on the same draws: the generator first gives
+    the 2 * probes draws of the other two checks."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(-1.0, 1.0, probes)
+    rng.uniform(0.0, 1.0, probes)
+    v = rng.uniform(-1.0, 1.0, mc_samples)
+    u = rng.uniform(-1.0, 1.0, mc_samples)
+    d = sol.schedule.evaluate(v) + u
+    resid = v - sol.price.evaluate(d)
+    edges = np.linspace(d.min(), d.max() + 1e-12, 21)
+    which = np.digitize(d, edges) - 1
+    ok, worst = True, 0.0
+    for k in range(20):
+        sel = which == k
+        if sel.sum() < 200:
+            continue
+        m = resid[sel].mean()
+        se = resid[sel].std(ddof=1) / np.sqrt(sel.sum())
+        z = abs(m) / max(se, 1e-15)
+        worst = max(worst, z)
+        if z > 4.5:
+            ok = False
+    return ok, float(worst)
+
+
+def reference_monte_carlo(sol, n, seed):
+    """(G, S, Pi_N, F) Estimates of monte_carlo_metrics with the price and
+    the two ends of the posterior interval each read on their own: the
+    price by evaluate, the ends by the clipped inverse_left and
+    inverse_right."""
+    from kylepen.metrics import SQRT3, _estimate
+
+    rng = np.random.default_rng(seed)
+    X, xm = sol.schedule, sol.schedule.x_max
+    v = rng.uniform(-1.0, 1.0, n)
+    u = rng.uniform(-1.0, 1.0, n)
+    x = X.evaluate(v)
+    d = x + u
+    p = sol.price.evaluate(d)
+    lo = X.inverse_left(np.clip(d - 1.0, -xm, xm))
+    hi = X.inverse_right(np.clip(d + 1.0, -xm, xm))
+    f = sol.penalty.value(x)
+    samples = (u * (v - p), (hi - lo) / (2.0 * SQRT3), x * (v - p) - f, f)
+    return tuple(_estimate(s) for s in samples)
+
+
 def _reference_normal_pdf(t):
     return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
 

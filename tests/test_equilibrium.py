@@ -10,7 +10,9 @@ from kylepen.metrics import SQRT3
 from conftest import (
     random_schedule,
     random_tabulated_penalty,
+    reference_break_even,
     reference_evaluate_limit,
+    reference_expected_price,
     reference_inverse_pieces,
     reference_jump_points,
 )
@@ -428,3 +430,71 @@ def test_expected_price_linear_on_large_schedules(rng, large_schedules):
         P = kp.PriceFunction(X)
         for x in rng.uniform(-1.0, 1.0, 64):
             assert abs(P.expected_price(x) - 0.5 * x) < 1e-10
+
+
+def test_expected_price_takes_arrays_and_matches_the_case_list(rng, large_schedules):
+    """One antiderivative difference in place of the saturated-tail case
+    list: the same value up to rounding, on arrays as on scalars."""
+    schedules = [random_schedule(rng) for _ in range(100)] + list(large_schedules)
+    schedules += [kp.DemandSchedule.zero(), kp.DemandSchedule.identity()]
+    for X in schedules:
+        P = kp.PriceFunction(X)
+        xs = np.concatenate([rng.uniform(-1.0, 1.0, 40), [-1.0, -0.0, 0.0, 1.0, X.x_max, -X.x_max]])
+        new = P.expected_price(xs)
+        assert new.shape == xs.shape
+        assert [P.expected_price(x) for x in xs.tolist()] == new.tolist()
+        ref = np.array([reference_expected_price(P, x) for x in xs.tolist()])
+        assert np.max(np.abs(new - ref)) <= 4.0 * np.finfo(float).eps
+    with pytest.raises(kp.DomainError):
+        P.expected_price(np.array([0.5, 1.5]))
+
+
+def test_interval_is_the_two_inverse_reads_of_the_price(rng, large_schedules):
+    """On every achievable order flow |d| <= 1 + x_max the interval's
+    midpoint is the price, and its ends are the left inverse at d - 1 and
+    the right inverse at d + 1 taken on [-x_max, x_max], bit for bit.  At
+    d = +-(1 + x_max) the inner end is read at +-x_max itself, where d -+ 1
+    may round to just inside it."""
+    schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
+    schedules.append(kp.DemandSchedule.zero())
+    for X in schedules:
+        P = kp.PriceFunction(X)
+        xm = X.x_max
+        edges = [1.0 + xm, -1.0 - xm, 0.0, -0.0]
+        ds = np.concatenate([rng.uniform(-1.0 - xm, 1.0 + xm, 500), edges, P.jump_points()])
+        lo, hi = P.interval(ds)
+        assert np.array_equal(0.5 * (lo + hi), P.evaluate(ds))
+        ref_lo = X.inverse_left(np.clip(ds - 1.0, -xm, xm))
+        ref_hi = X.inverse_right(np.clip(ds + 1.0, -xm, xm))
+        ref_lo[ds == 1.0 + xm] = X.inverse_left(xm)
+        ref_hi[ds == -1.0 - xm] = X.inverse_right(-xm)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        for k, d in enumerate(edges, start=500):
+            assert P.interval(d) == (lo[k], hi[k])
+
+
+def test_break_even_bins_match_the_mask_loop(rng, large_schedules):
+    """The one-pass bins give the flag and the largest z of one boolean mask
+    per bin bit for bit, with every bin full (200,000 draws) and with some
+    under the 200-draw minimum (3,000 draws)."""
+    pens = (
+        kp.QuadraticPenalty(0.3),
+        kp.LinearPenalty(0.2),
+        kp.ConstantAbovePenalty(0.2, 0.1),
+        kp.SurfaceOptimalPenalty(0.5, 0.75),
+        random_tabulated_penalty(rng),
+    )
+    sols = [kp.solve_equilibrium(p) for p in pens]
+    for X in (random_schedule(rng), *large_schedules):
+        sols.append(kp.EquilibriumSolution(kp.ZeroPenalty(), X, kp.PriceFunction(X), {}))
+    # the price of the zero schedule on the identity's order flow: the
+    # market maker does not break even
+    X = kp.DemandSchedule.identity()
+    wrong = kp.EquilibriumSolution(kp.ZeroPenalty(), X, kp.PriceFunction(kp.DemandSchedule.zero()), {})
+    for sol in [*sols, wrong]:
+        for seed, n in ((0, 200_000), (7, 3_000)):
+            report = kp.verify_equilibrium(sol, seed=seed, mc_samples=n)
+            assert (report.break_even, report.details["break_even_max_z"]) == reference_break_even(
+                sol, seed=seed, mc_samples=n
+            )
+        assert report.break_even is (sol is not wrong)

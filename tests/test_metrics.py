@@ -7,7 +7,12 @@ import kylepen as kp
 from kylepen.equilibrium import psi
 from kylepen.metrics import SQRT3
 
-from conftest import random_shaded_schedule
+from conftest import (
+    random_schedule,
+    random_shaded_schedule,
+    random_tabulated_penalty,
+    reference_monte_carlo,
+)
 
 
 def reference_phi(X, z):
@@ -105,6 +110,27 @@ def test_monte_carlo_zero_schedule_prior_std():
     assert sol.schedule.x_max == 0.0
     est = kp.monte_carlo_metrics(sol, n=50_000, seed=1)
     assert est.S.value == pytest.approx(1.0 / SQRT3, abs=1e-12)
+
+
+def test_monte_carlo_reads_each_draw_once(rng, large_schedules):
+    """One interval read per draw gives the four estimates that reading the
+    price and both ends of the posterior interval separately gives, bit for
+    bit, on solved penalties with and without jumps and on random and large
+    schedules."""
+    pens = (
+        kp.QuadraticPenalty(0.3),
+        kp.LinearPenalty(0.2),
+        kp.ConstantAbovePenalty(0.2, 0.1),
+        kp.OptimalCanonicalPenalty(0.1),
+        random_tabulated_penalty(rng),
+    )
+    sols = [kp.solve_equilibrium(p) for p in pens]
+    for X in (random_schedule(rng), random_schedule(rng), *large_schedules):
+        sols.append(kp.EquilibriumSolution(kp.QuadraticPenalty(0.1), X, kp.PriceFunction(X), {}))
+    for sol in sols:
+        for seed in (1, 2, 3):
+            est = kp.monte_carlo_metrics(sol, n=50_000, seed=seed)
+            assert (est.G, est.S, est.Pi_N, est.F) == reference_monte_carlo(sol, 50_000, seed)
 
 
 # ----------------------------------------------------------------------
