@@ -383,12 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("frontier", help="constrained efficient frontier")
     add_common(sp, penalty=False)
     sp.add_argument("--fmin", type=float, default=0.0)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=int, default=400, help="number of |G| values on the frontier")
     sp.set_defaults(func=_cmd_frontier)
 
     sp = sub.add_parser("surface", help="full efficient-surface sample")
     add_common(sp, penalty=False)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=int, default=400, help="generator samples per side")
     sp.set_defaults(func=_cmd_surface)
 
     sp = sub.add_parser("mc-validate", help="Monte Carlo check of the closed forms")
@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("figures", help="emit the data behind every reproduced figure")
     add_common(sp, penalty=False)
     sp.add_argument("--samples", type=int, default=1001)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=int, default=400, help="number of |G| values on each frontier")
     sp.add_argument("--gaussian-n", type=int, default=801)
     sp.add_argument("--gaussian-l", type=float, default=5.0)
     sp.set_defaults(func=_cmd_figures)

@@ -3,7 +3,7 @@
 The unconstrained frontier is swept by the threshold schedules X_K; adding a
 floor on the expected fine moves the problem onto a two-parameter surface
 generated by schedules that are flat up to v1, linear up to v2 and mimicking
-above.
+above; under the floor its efficient curve has a closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .equilibrium import solve_demand
 from .errors import DomainError, InfeasibleError
 from .metrics import SQRT3
 from .penalties import ConstantAbovePenalty, SurfaceOptimalPenalty, ZeroPenalty
-from .schedules import EDGE_TOL, ORDER_TOL, DemandSchedule
+from .schedules import EDGE_TOL, DemandSchedule
 
 MAX_EXPECTED_FINE = 1.0 / 12.0  # global maximum of F over the surface
 
@@ -40,11 +40,8 @@ class SurfacePoint:
 
 def frontier_point(K: float) -> FrontierPoint:
     """Point of the unconstrained efficient frontier generated by level K."""
-    if not 0.0 <= K <= 0.5:
-        raise DomainError("K must lie in [0, 1/2]")
-    g = -(1.0 / 6.0) * (1.0 - (2.0 * K) ** 1.5)
-    s = (1.0 / SQRT3) * (1.0 + 2.0 * g)
-    return FrontierPoint(G=g, S=s, K=K)
+    g = -gmin_nonpecuniary(K)
+    return FrontierPoint(G=g, S=(1.0 / SQRT3) * (1.0 + 2.0 * g), K=K)
 
 
 def gmin_nonpecuniary(K: float) -> float:
@@ -68,22 +65,23 @@ def x_alpha_schedule(K: float, alpha: float) -> DemandSchedule:
 # ----------------------------------------------------------------------
 # pecuniary surface
 # ----------------------------------------------------------------------
-def in_generator_region(v1: float, v2: float, tol: float = EDGE_TOL) -> bool:
-    """Membership in J = {(v1, v2) : v2/(1+v2) <= v1 <= v2 <= 1}."""
-    return (
-        0.0 <= v1 <= v2 + tol
-        and v2 <= 1.0 + tol
-        and v1 + tol >= v2 / (1.0 + v2)
-    )
+def in_generator_region(v1, v2, tol: float = EDGE_TOL):
+    """Membership in J = {(v1, v2) : v2/(1+v2) <= v1 <= v2 <= 1}, elementwise."""
+    return (0.0 <= v1) & (v1 <= v2 + tol) & (v2 <= 1.0 + tol) & (v1 * (1.0 + v2) + tol >= v2)
+
+
+def surface_values(v1, v2):
+    """(G, S, F) of the surface at generators (v1, v2), elementwise."""
+    g = (v1 * v1 * v2 - 1.0) / 6.0
+    s = (2.0 / 3.0 + (v1 * v1 * v2 + v1 * v2 * v2) / 6.0) / SQRT3
+    f = (v1 * v2 / 6.0) * (3.0 - 2.0 * v1 - v2)
+    return g, s, f
 
 
 def surface_point(v1: float, v2: float) -> SurfacePoint:
     if not in_generator_region(v1, v2):
         raise DomainError("(v1, v2) outside the generator region")
-    g = (1.0 / 6.0) * (v1 * v1 * v2 - 1.0)
-    s = (1.0 / SQRT3) * (2.0 / 3.0 + (1.0 / 6.0) * (v1 * v1 * v2 + v1 * v2 * v2))
-    f = (v1 * v2 / 6.0) * (3.0 - 2.0 * v1 - v2)
-    return SurfacePoint(G=g, S=s, F=f, v1=v1, v2=v2)
+    return SurfacePoint(*surface_values(v1, v2), v1=v1, v2=v2)
 
 
 def surface_schedule(v1: float, v2: float) -> DemandSchedule:
@@ -106,43 +104,44 @@ def sample_surface(grid: int = 400):
     if grid < 2:
         raise DomainError("surface grid needs at least 2 points per side")
     t2 = np.linspace(0.0, 1.0, grid)
-    rows_v1, rows_v2 = [], []
-    for v2 in t2:
-        lo = v2 / (1.0 + v2)
-        v1s = np.linspace(lo, v2, grid)
-        rows_v1.append(v1s)
-        rows_v2.append(np.full(grid, v2))
-    v1 = np.concatenate(rows_v1)
-    v2 = np.concatenate(rows_v2)
-    g = (v1 * v1 * v2 - 1.0) / 6.0
-    s = (2.0 / 3.0 + (v1 * v1 * v2 + v1 * v2 * v2) / 6.0) / SQRT3
-    f = (v1 * v2 / 6.0) * (3.0 - 2.0 * v1 - v2)
-    return v1, v2, g, s, f
+    v1 = np.concatenate([np.linspace(v2 / (1.0 + v2), v2, grid) for v2 in t2])
+    v2 = np.repeat(t2, grid)
+    return (v1, v2, *surface_values(v1, v2))
+
+
+def efficient_generators(abs_g, f_min: float):
+    """Generators (v1, v2) of the least S at each |G| on the surface subject
+    to F >= f_min; NaN where no generator of that |G| meets the floor.
+    With c = v1^2 v2 = 1 - 6|G| fixed, S rises with v2.  v1 <= v2 gives
+    v2 >= c^(1/3); with t = sqrt(v2), F >= f_min reads t^3 - 3t + k <= 0 for
+    k = 2 sqrt(c) + 6 f_min / sqrt(c), whose root in [0, 1] is
+    2 sin(arcsin(k/2) / 3) and which has none when k > 2."""
+    root_c = np.sqrt(np.maximum(1.0 - 6.0 * np.asarray(abs_g, dtype=float), 0.0))
+    with np.errstate(divide="ignore"):  # at c = 0 no positive floor is met
+        k = 2.0 * root_c + (6.0 * f_min / root_c if f_min > 0.0 else 0.0)
+    t = np.maximum(np.cbrt(root_c), 2.0 * np.sin(np.arcsin(np.minimum(0.5 * k, 1.0)) / 3.0))
+    v1 = np.divide(root_c, t, out=np.zeros_like(t), where=t > 0.0)
+    ok = (k <= 2.0 + EDGE_TOL) & in_generator_region(v1, t * t)
+    return np.where(ok, v1, np.nan), np.where(ok, t * t, np.nan)
 
 
 def fmin_efficient_frontier(f_min: float, grid: int = 400):
-    """Non-dominated (G, S) points of the surface subject to F >= f_min.
-
-    Returns a list of (G, S, v1, v2, F) sorted by decreasing G.  Domination
-    means some other feasible point has G' >= G and S' <= S with one strict.
-    """
+    """Efficient points of the surface under F >= f_min at ``grid`` values of
+    |G| from the least the floor allows to 1/6, as (G, S, v1, v2, F) by
+    decreasing G and S; values of |G| that no generator reaches are left out."""
     if not math.isfinite(f_min) or f_min < 0.0:
         raise DomainError("fine floor must be a finite non-negative number")
     if f_min > MAX_EXPECTED_FINE + EDGE_TOL:
-        raise InfeasibleError(
-            "fine floor exceeds the global maximum expected fine 1/12"
-        )
-    v1, v2, g, s, f = sample_surface(grid)
-    keep = f >= f_min - ORDER_TOL
-    if not np.any(keep):
-        raise InfeasibleError("no surface point satisfies the fine floor")
-    v1, v2, g, s, f = (a[keep] for a in (v1, v2, g, s, f))
-    order = np.lexsort((s, -g))  # G descending, S ascending within ties
-    # keep a point only if its S is below every S seen before it by more than ORDER_TOL
-    s_sorted = s[order]
-    best_before = np.concatenate(([np.inf], np.minimum.accumulate(s_sorted)[:-1]))
-    kept = order[s_sorted < best_before - ORDER_TOL]
-    return list(zip(*(a[kept].tolist() for a in (g, s, v1, v2, f))))
+        raise InfeasibleError("fine floor exceeds the global maximum expected fine 1/12")
+    if grid < 2:
+        raise DomainError("frontier grid needs at least 2 values of |G|")
+    # the least |G| is reached at the generator (y, 1), the larger root of y^2 - y + 3 f_min;
+    # a floor past 1/12 by at most EDGE_TOL is 1/12
+    y = 0.5 * (1.0 + math.sqrt(max(1.0 - 12.0 * f_min, 0.0)))
+    abs_g = np.linspace((1.0 - y * y) / 6.0, 1.0 / 6.0, grid)
+    v1, v2 = (a[~np.isnan(a)] for a in efficient_generators(abs_g, min(f_min, MAX_EXPECTED_FINE)))
+    g, s, f = surface_values(v1, v2)
+    return list(zip(*(a.tolist() for a in (g, s, v1, v2, f))))
 
 
 def quadratic_upper_boundary(S: float) -> float:

@@ -27,8 +27,8 @@ odd, so the price is odd and the penalty is even.
 A solution's ``flags`` hold ``monotone``, ``underflow_fills`` (how many
 order flows of the final price had a posterior mass of at most 1e-290 and
 took the price of the nearest well-conditioned flow toward 0) and
-``true_residual``, max |BR(X) - X| at the returned X; ``residual`` is the
-last damped step.
+``true_residual``, max |BR(X) - X| at the returned X, which is also the
+solution's ``residual`` and what the iteration stops on.
 """
 
 from __future__ import annotations
@@ -230,8 +230,10 @@ def gaussian_fixed_point(
 ) -> GaussianSolution:
     """Damped alternation of price update and best response.
 
-    Returns the last iterate with ``converged=False`` if the sup-norm change
-    of X never falls below ``tol``.
+    Stops at the first iterate X whose residual max |BR(X) - X| is below
+    ``tol``; returns the last iterate with ``converged=False`` if none of the
+    first ``max_iter`` damped steps reaches one.  ``iterations`` counts the
+    damped steps taken.
     """
     if not 0.0 < damping <= 1.0:
         raise DomainError("damping must lie in (0, 1]")
@@ -243,23 +245,20 @@ def gaussian_fixed_point(
         grid = GaussianGrid()
     d_ext = grid.extended_points
     X = _odd_part(grid.points)  # start from the mimicking schedule
-    residual = np.inf
-    converged = False
-    it = 0
     P_ext, fills = _price_on(d_ext, X, grid)
-    for it in range(1, max_iter + 1):
+    it = 0
+    while True:
         X_new = gaussian_best_response(P_ext, penalty, grid)
-        X_next = _odd_part((1.0 - damping) * X + damping * X_new)  # enforce oddness
-        residual = float(np.max(np.abs(X_next - X)))
-        X = X_next
-        P_ext, fills = _price_on(d_ext, X, grid)
-        if residual < tol:
-            converged = True
+        residual = float(np.max(np.abs(X_new - X)))
+        converged = residual < tol
+        if converged or it == max_iter:
             break
+        X = _odd_part((1.0 - damping) * X + damping * X_new)  # enforce oddness
+        P_ext, fills = _price_on(d_ext, X, grid)
+        it += 1
     P = P_ext[grid.pad : grid.pad + grid.n]
     phat = expected_price_gaussian(P_ext, grid)
     monotone = bool(np.all(np.diff(X) >= -10.0 * tol))
-    true_residual = float(np.max(np.abs(gaussian_best_response(P_ext, penalty, grid) - X)))
     return GaussianSolution(
         grid=grid,
         X=X,
@@ -268,5 +267,5 @@ def gaussian_fixed_point(
         iterations=it,
         residual=residual,
         converged=converged,
-        flags={"monotone": monotone, "underflow_fills": fills, "true_residual": true_residual},
+        flags={"monotone": monotone, "underflow_fills": fills, "true_residual": residual},
     )

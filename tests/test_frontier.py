@@ -5,8 +5,17 @@ import pytest
 
 import kylepen as kp
 from kylepen.errors import DomainError, InfeasibleError
-from kylepen.frontier import MAX_EXPECTED_FINE, in_generator_region, surface_schedule
+from kylepen.frontier import (
+    MAX_EXPECTED_FINE,
+    efficient_generators,
+    in_generator_region,
+    surface_schedule,
+    surface_values,
+)
 from kylepen.metrics import SQRT3
+from kylepen.schedules import EDGE_TOL
+
+from conftest import random_tabulated_penalty
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +161,21 @@ def reference_frontier(f_min, grid):
 @pytest.mark.parametrize("grid", [37, 400])
 @pytest.mark.parametrize("f_min", [0.0, 0.02, 0.05, 0.07])
 def test_fmin_matches_loop_reference(f_min, grid):
-    assert kp.fmin_efficient_frontier(f_min, grid=grid) == reference_frontier(f_min, grid)
+    # every point the grid filter keeps is feasible for the exact curve, which
+    # is never above it
+    ref = np.array(reference_frontier(f_min, grid))
+    v1, v2 = efficient_generators(-ref[:, 0], f_min)
+    assert not np.any(np.isnan(v1))
+    assert np.all(surface_values(v1, v2)[1] <= ref[:, 1] + 1e-15)
+
+
+@pytest.mark.parametrize("f_min", [0.0, 0.02, 0.05, 0.07, 0.076, MAX_EXPECTED_FINE])
+def test_fmin_rows_sit_on_the_diagonal_or_the_floor(f_min):
+    # the least v2 at a given |G| is where v1 = v2, unless the floor binds there
+    g, s, v1, v2, f = np.array(kp.fmin_efficient_frontier(f_min, grid=400)).T
+    assert np.all(in_generator_region(v1, v2))
+    assert np.all(f >= f_min - 1e-15)
+    assert np.all((np.abs(f - f_min) <= 1e-15) | (np.abs(v1 - v2) <= 1e-12))
 
 
 def test_fmin_infeasible():
@@ -160,9 +183,10 @@ def test_fmin_infeasible():
         kp.fmin_efficient_frontier(MAX_EXPECTED_FINE + 0.01)
 
 
-def test_fmin_boundary_feasible():
-    pts = kp.fmin_efficient_frontier(MAX_EXPECTED_FINE, grid=201)
-    assert len(pts) >= 1
+@pytest.mark.parametrize("f_min", [MAX_EXPECTED_FINE, MAX_EXPECTED_FINE + EDGE_TOL / 2])
+def test_fmin_boundary_feasible(f_min):
+    pts = kp.fmin_efficient_frontier(f_min, grid=201)
+    assert len(pts) == 1
     # the feasible set collapses near the generator (1/2, 1)
     g, s, v1, v2, f = pts[0]
     assert abs(v1 - 0.5) < 0.05 and abs(v2 - 1.0) < 0.05
@@ -173,6 +197,38 @@ def test_fmin_high_floor_leaves_the_line():
     # generator sits near the diagonal
     pts = kp.fmin_efficient_frontier(0.076, grid=300)
     assert all(v2 - v1 > 0.05 for _, _, v1, v2, _ in pts)
+
+
+def least_floor_s(abs_g, f_min):
+    """Least S of the exact fine-floor frontier at the |G'| <= abs_g, where it
+    ends first if it ends before abs_g."""
+    lo = -kp.fmin_efficient_frontier(f_min, grid=2)[0][0]  # the least |G| the floor allows
+    assert lo <= abs_g + 1e-12
+    hi = max(abs_g, lo)
+    if np.isnan(efficient_generators(hi, f_min)[0]):  # bisect for the frontier's end
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if np.isnan(efficient_generators(mid, f_min)[0]) else (mid, hi)
+        hi = lo
+    return surface_values(*efficient_generators(hi, f_min))[1]
+
+
+def test_random_penalties_respect_the_frontiers():
+    # the paper's optimality theorems: no equilibrium beats the unconstrained
+    # frontier or the non-pecuniary budget bound, and each is dominated by a
+    # point of the exact frontier under a floor at its own expected fine, the
+    # one at its own |G| when the frontier reaches that far
+    rng = np.random.default_rng(1)
+    gaps = []
+    for _ in range(2000):
+        pen = random_tabulated_penalty(rng)
+        m = kp.compute_metrics(kp.solve_equilibrium(pen).schedule)
+        gaps += [
+            m.S - (1.0 - 2.0 * m.abs_G) / SQRT3,
+            m.abs_G - kp.gmin_nonpecuniary(min(float(pen.value(1.0)), 0.5)),
+            m.S - least_floor_s(m.abs_G, max(m.F, 0.0)),
+        ]
+    assert min(gaps) >= -1e-12
 
 
 # ----------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_fixed_point_reports_fills_and_true_residual():
     assert sol.flags["underflow_fills"] == fills > 0
 
 
+def test_converged_run_has_its_true_residual_below_tol():
+    # a rule on the damped step, half the previous iterate's best-response gap,
+    # stops here one step early, at an X whose own gap is 1.0017e-5
+    pen = kp.ConstantAbovePenalty(0.2, 0.1)
+    grid = GaussianGrid(5.0, 101)
+    sol = kp.gaussian_fixed_point(pen, grid=grid)
+    P = gaussian_price_update(sol.X, grid, extended=True)
+    true_residual = float(np.max(np.abs(gaussian_best_response(P, pen, grid) - sol.X)))
+    assert sol.converged
+    assert true_residual < 1e-5
+    assert sol.residual == sol.flags["true_residual"] == true_residual
+
+
 def test_price_update_prices_the_odd_part():
     rng = np.random.default_rng(8)
     X = np.sort(rng.normal(size=SMALL.n)) + 0.3
