@@ -167,6 +167,8 @@ def _intervals(est) -> dict:
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_solve(args) -> int:
+    if args.samples < 2:
+        raise DomainError("--samples must be at least 2")
     penalty, spec, penalty0, sol = _solve_on_support(args, method=args.method)
     out = _out_dir(args)
     _write_curves(out, sol, args.samples)
@@ -242,13 +244,7 @@ def _cmd_mc_validate(args) -> int:
 def _cmd_gaussian(args) -> int:
     penalty = _load_penalty(args.penalty)
     grid = GaussianGrid(L=args.grid_l, n=args.grid_n)
-    sol = gaussian_fixed_point(
-        penalty,
-        grid=grid,
-        damping=args.damping,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    sol = gaussian_fixed_point(penalty, grid=grid, damping=args.damping, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args)
     _write_gaussian_curves(out, sol)
     _write_json(

@@ -127,19 +127,26 @@ def efficient_generators(abs_g, f_min: float):
 
 def fmin_efficient_frontier(f_min: float, grid: int = 400):
     """Efficient points of the surface under F >= f_min at ``grid`` values of
-    |G| from the least the floor allows to 1/6, as (G, S, v1, v2, F) by
-    decreasing G and S; values of |G| that no generator reaches are left out."""
+    |G| from the least the floor allows to the frontier's end, as (G, S, v1,
+    v2, F) by decreasing G and S; a value no generator reaches in floating
+    point is left out."""
     if not math.isfinite(f_min) or f_min < 0.0:
         raise DomainError("fine floor must be a finite non-negative number")
     if f_min > MAX_EXPECTED_FINE + EDGE_TOL:
         raise InfeasibleError("fine floor exceeds the global maximum expected fine 1/12")
     if grid < 2:
         raise DomainError("frontier grid needs at least 2 values of |G|")
-    # the least |G| is reached at the generator (y, 1), the larger root of y^2 - y + 3 f_min;
-    # a floor past 1/12 by at most EDGE_TOL is 1/12
+    f_min = min(f_min, MAX_EXPECTED_FINE)  # a floor past 1/12 by at most EDGE_TOL is 1/12
+    # the least |G| is reached at the generator (y, 1), the larger root of y^2 - y + 3 f_min
     y = 0.5 * (1.0 + math.sqrt(max(1.0 - 12.0 * f_min, 0.0)))
-    abs_g = np.linspace((1.0 - y * y) / 6.0, 1.0 / 6.0, grid)
-    v1, v2 = (a[~np.isnan(a)] for a in efficient_generators(abs_g, min(f_min, MAX_EXPECTED_FINE)))
+    # the largest |G| is on the edge v1 = v2/(1+v2), where F = v2^2 (3 - v2^2) / (6 (1+v2)^2) rises
+    # on [0, 1]: bisect v2^4 - 3 v2^2 + 6 f_min (1+v2)^2 for its root there, on the side F >= f_min
+    lo, v2 = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + v2)
+        lo, v2 = (mid, v2) if mid**4 - 3.0 * mid**2 + 6.0 * f_min * (1.0 + mid) ** 2 > 0.0 else (lo, mid)
+    abs_g = np.linspace((1.0 - y * y) / 6.0, (1.0 - v2**3 / (1.0 + v2) ** 2) / 6.0, grid)
+    v1, v2 = (a[~np.isnan(a)] for a in efficient_generators(abs_g, f_min))
     g, s, f = surface_values(v1, v2)
     return list(zip(*(a.tolist() for a in (g, s, v1, v2, f))))
 

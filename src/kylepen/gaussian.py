@@ -20,9 +20,10 @@ odd, so the price is odd and the penalty is even.
   mean, and mirrors them: P(-d) = -P(d), P(0) = 0.
 - Phat(x) = E[P(x + u)] is a discrete correlation, since every x + u is a
   node of the extended grid.
-- ``gaussian_best_response`` responds to the odd part of its price.  For
-  v >= 0 the objective gains 2xv from -x to x, so the rows v >= 0 are solved
-  on the orders x >= 0 and mirrored.
+- ``gaussian_best_response`` responds to the odd part of its price, on the
+  rows v >= 0 and the orders x >= 0, and mirrors.  Phat is linear between
+  x-nodes and C quadratic on each row, so it takes the exact maximum of each
+  cell: at its vertex or its right end.
 
 A solution's ``flags`` hold ``monotone``, ``underflow_fills`` (how many
 order flows of the final price had a posterior mass of at most 1e-290 and
@@ -41,7 +42,6 @@ from .errors import DomainError
 from .penalties import Penalty
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _normal_pdf(t):
@@ -175,49 +175,42 @@ def expected_price_gaussian(P: np.ndarray, grid: GaussianGrid) -> np.ndarray:
 
 
 def gaussian_best_response(
-    P: np.ndarray,
-    penalty: Penalty,
-    grid: GaussianGrid,
-    bracket_tol: float = 1e-9,
-    tie_tol: float = 1e-9,
+    P: np.ndarray, penalty: Penalty, grid: GaussianGrid, tie_tol: float = 1e-9
 ) -> np.ndarray:
-    """Per-v maximiser of x(v - Phat(x)) - C(x) over the x-grid with golden
-    refinement; ties go to the smaller |x|.
+    """Per-v maximiser of x(v - Phat(x)) - C(x) on the x-grid, exact for the
+    Phat that ``np.interp`` reads off the grid; ties go to the smaller |x|.
+
+    Between adjacent nodes xn of the grid and the penalty's row starts, Phat
+    is a line and C a quadratic row, so on the cell (xn[k-1], xn[k]] the
+    objective is x(v + b_k - q_k x) - c0_k, greatest at the vertex clipped to
+    the cell when q_k > 0 and at the right end otherwise (cell 0 is x = 0).
+    Of the best cell maximum, 0 and the breakpoints, the smallest x within
+    ``tie_tol`` of the best wins.
 
     The response is to the odd part of ``P``, so it is odd.  Phat is then
     odd and C even, and for v >= 0 the objective gains 2xv from -x to x; so
     the rows v >= 0 are solved on the orders x >= 0 and mirrored."""
-    phat = expected_price_gaussian(_odd_part(P), grid)
-    x = grid.points
-    mid = grid.pad  # the index of v = 0 and of x = 0
-    v, xp = x[mid:], x[mid:]
-
-    def objective(xq, vq):
-        return xq * (vq - np.interp(xq, x, phat)) - penalty.value_extended(xq)
-
-    m = np.multiply.outer(v, xp)
-    m -= xp * phat[mid:] + penalty.value_extended(xp)
-    i = mid + np.argmax(m, axis=1)  # on the full x-grid, so x = 0 brackets from -h
-    lo = x[i - 1]
-    hi = x[np.minimum(i + 1, grid.n - 1)]
-    for _ in range(64):
-        gap = hi - lo
-        if gap.max() < bracket_tol:
-            break
-        x1 = hi - _GOLDEN * gap
-        x2 = lo + _GOLDEN * gap
-        better_left = objective(x1, v) >= objective(x2, v)
-        hi = np.where(better_left, x2, hi)
-        lo = np.where(better_left, lo, x1)
-    refined = 0.5 * (lo + hi)
-
-    # -b never beats b when v >= 0
-    xc = np.stack([refined, np.zeros_like(v), *(np.full_like(v, b) for b in penalty.breakpoints())])
-    vals = np.stack([objective(c, v) for c in xc])
-    top = vals.max(axis=0)
-    eligible = vals >= top - tie_tol
-    absx = np.where(eligible, np.abs(xc), np.inf)
-    X_pos = xc[np.argmin(absx, axis=0), np.arange(len(v))]
+    v = grid.points[grid.pad :]  # v >= 0, and the grid's x >= 0
+    xn = np.union1d(np.append(0.0, v[1:]), penalty.row_starts(grid.L))  # the middle node is 0 exactly
+    phat = np.interp(xn, v, expected_price_gaussian(_odd_part(P), grid)[grid.pad :])
+    slope = np.append(0.0, np.diff(phat) / np.diff(xn))
+    c0, c1, c2 = penalty.coefficients(xn)
+    q = slope + c2
+    b = slope * xn - phat - c1  # with Phat on each cell read from its right end
+    half_inv_q = np.divide(0.5, q, out=np.zeros_like(q), where=q > 0.0)
+    first = np.where(q > 0.0, np.append(0.0, xn[:-1]), xn)  # the right end where q <= 0
+    # x(v + b - q x) - c0 at each cell's clipped vertex, on every row v >= 0 (mostly in place)
+    vals = np.add.outer(v, b)
+    x = np.clip(vals * half_inv_q, first, xn)
+    vals -= q * x
+    vals *= x
+    vals -= c0
+    k = np.argmax(vals, axis=1)
+    top = vals[np.arange(len(v)), k]
+    nodes = np.searchsorted(xn, (0.0, *penalty.breakpoints()))
+    at_nodes = xn[nodes] * (np.add.outer(v, b[nodes]) - q[nodes] * xn[nodes]) - c0[nodes]
+    tied = np.where(at_nodes >= top[:, None] - tie_tol, xn[nodes], np.inf).min(axis=1)
+    X_pos = np.minimum(np.clip((v + b[k]) * half_inv_q[k], first[k], xn[k]), tied)
     return np.concatenate((-X_pos[:0:-1], X_pos))
 
 

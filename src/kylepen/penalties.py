@@ -56,22 +56,30 @@ class Penalty:
         c0, c1, c2 = np.array([(0.0, 0.0, 0.0)] + [r[2:5] for r in rows]).T
         return a, c0, c1, c2
 
-    def _at(self, x, side="left"):
-        """C at x >= 0 from the rows; the right limit when side="right"."""
+    def coefficients(self, x):
+        """(c0, c1, c2) of the row holding each x >= 0, so that C(x) = c0 +
+        c1 x + c2 x^2 with C left-continuous (the zero row at x = 0)."""
         a, c0, c1, c2 = self._table
-        k = np.searchsorted(a, x, side=side)
-        return _horner(c0[k], c1[k], c2[k], x)
+        k = np.searchsorted(a, x)
+        return c0[k], c1[k], c2[k]
+
+    def row_starts(self, top: float) -> np.ndarray:
+        """Starts in (0, top) of the rows ``value_extended`` reads: every x > 0
+        where C, continued past 1, may jump or kink."""
+        a = self._table[0]
+        return a[(a > 0.0) & (a < top)]
 
     def value(self, x):
         """Pointwise C(|x|), left-continuous at jumps. Domain |x| <= 1."""
         pos, scalar = _as_pos_array(x)
-        out = self._at(np.minimum(pos, 1.0))
+        x = np.minimum(pos, 1.0)
+        out = _horner(*self.coefficients(x), x)
         return float(out) if scalar else out
 
     def value_extended(self, x):
         """C(|x|) without the [-1, 1] restriction (the last row continued)."""
         arr = np.abs(np.asarray(x, dtype=float))
-        out = self._at(arr)
+        out = _horner(*self.coefficients(arr), arr)
         return float(out) if arr.ndim == 0 else out
 
     def pieces(self) -> list[tuple]:
@@ -82,10 +90,6 @@ class Penalty:
         so a first row with c0 > 0 jumps at the origin).
         """
         return _on_unit(self._rows())
-
-    def right_limit(self, x: float) -> float:
-        """lim_{t -> x+} C(t) for 0 <= x < 1. Equals value(x) when continuous."""
-        return float(self._at(float(x), side="right"))
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points in [0, 1) where C jumps or kinks; used to split argmax searches."""

@@ -109,6 +109,13 @@ def reference_formula(pen, x):
     return out.reshape(shape)
 
 
+def reference_right_limit(pen, x):
+    """lim_{t -> x+} C(t) for 0 <= x < 1: the polynomial of the piece (a, b]
+    with a <= x < b, read at x."""
+    c0, c1, c2 = next(row[2:5] for row in pen.pieces() if row[0] <= x < row[1])
+    return c0 + x * (c1 + x * c2)
+
+
 def reference_inverse_pieces(X):
     """(xlo, xhi, vlo, vhi) of the inverse, built node by node: increasing
     segments of X invert to linear pieces, jumps of X to constant ones."""

@@ -202,6 +202,13 @@ def test_bad_figures_options_write_nothing(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_bad_solve_samples_create_no_out_directory(tmp_path, samples):
+    out = tmp_path / "solve"
+    assert main(["solve", "--penalty", QUAD, "--samples", samples, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_surface_command(tmp_path):
     code = main(["surface", "--grid", "40", "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -192,6 +192,21 @@ def test_fmin_boundary_feasible(f_min):
     assert abs(v1 - 0.5) < 0.05 and abs(v2 - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("grid", [37, 400])
+@pytest.mark.parametrize("f_min", [0.02, 0.05, 0.07, 0.076])
+def test_fmin_frontier_runs_to_its_end(f_min, grid):
+    # the last row is the largest |G| any generator reaches under the floor,
+    # bisected between the least |G| (feasible) and 1/6 (not)
+    pts = kp.fmin_efficient_frontier(f_min, grid=grid)
+    assert len(pts) == grid
+    lo, hi = -pts[0][0], 1.0 / 6.0
+    assert np.isnan(efficient_generators(hi, f_min)[0])
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if np.isnan(efficient_generators(mid, f_min)[0]) else (mid, hi)
+    assert abs(-pts[-1][0] - lo) <= 1e-12
+
+
 def test_fmin_high_floor_leaves_the_line():
     # with a floor above the best fine of the threshold family, no returned
     # generator sits near the diagonal
@@ -202,15 +217,10 @@ def test_fmin_high_floor_leaves_the_line():
 def least_floor_s(abs_g, f_min):
     """Least S of the exact fine-floor frontier at the |G'| <= abs_g, where it
     ends first if it ends before abs_g."""
-    lo = -kp.fmin_efficient_frontier(f_min, grid=2)[0][0]  # the least |G| the floor allows
+    rows = kp.fmin_efficient_frontier(f_min, grid=2)
+    lo, end = -rows[0][0], -rows[-1][0]  # the least |G| the floor allows, and the frontier's end
     assert lo <= abs_g + 1e-12
-    hi = max(abs_g, lo)
-    if np.isnan(efficient_generators(hi, f_min)[0]):  # bisect for the frontier's end
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if np.isnan(efficient_generators(mid, f_min)[0]) else (mid, hi)
-        hi = lo
-    return surface_values(*efficient_generators(hi, f_min))[1]
+    return surface_values(*efficient_generators(min(max(abs_g, lo), end), f_min))[1]
 
 
 def test_random_penalties_respect_the_frontiers():
