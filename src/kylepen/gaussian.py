@@ -15,15 +15,15 @@ the exact linear equilibrium up to quadrature error.
 Each kernel does only the work the game's symmetry leaves: the demand is
 odd, so the price is odd and the penalty is even.
 - ``gaussian_price_update`` prices the odd part (X(v) - X(-v)) / 2 of the
-  demand it is given.  It integrates the order flows d > 0 only, with the
-  kernel built in place and one matrix product for the posterior mass and
-  mean, and mirrors them: P(-d) = -P(d), P(0) = 0.
+  demand it is given.  It integrates the order flows d > 0 in blocks of
+  ``_BLOCK`` rows, each built in one reused buffer and multiplied into the
+  posterior mass and mean, and mirrors them: P(-d) = -P(d), P(0) = 0.
 - Phat(x) = E[P(x + u)] is a discrete correlation, since every x + u is a
   node of the extended grid.
 - ``gaussian_best_response`` responds to the odd part of its price, on the
   rows v >= 0 and the orders x >= 0, and mirrors.  Phat is linear between
   x-nodes and C quadratic on each row, so it takes the exact maximum of each
-  cell: at its vertex or its right end.
+  cell, at its vertex or its right end, in row blocks too.
 
 A solution's ``flags`` hold ``monotone``, ``underflow_fills`` (how many
 order flows of the final price had a posterior mass of at most 1e-290 and
@@ -42,6 +42,7 @@ from .errors import DomainError
 from .penalties import Penalty
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_BLOCK = 32  # kernel rows per block; one block of the default extended price kernel is 410 kB
 
 
 def _normal_pdf(t):
@@ -50,9 +51,10 @@ def _normal_pdf(t):
 
 @dataclass(frozen=True)
 class GaussianGrid:
-    """Symmetric uniform grids for v, x and the order flow d, truncated at
-    +-L standard deviations.  Below 1 the grid drops more than a third of
-    the normal mass; past 38 the normal density falls to subnormal doubles."""
+    """Uniform grids for v, x and the order flow d, truncated at +-L standard
+    deviations, each its nonnegative half mirrored, so exactly odd.  Below 1
+    the grid drops more than a third of the normal mass; past 38 the normal
+    density falls to subnormal doubles."""
 
     L: float = 5.0
     n: int = 801
@@ -63,7 +65,8 @@ class GaussianGrid:
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n)
+        half = np.linspace(0.0, self.L, self.pad + 1)
+        return np.concatenate((-half[:0:-1], half))
 
     @property
     def h(self) -> float:
@@ -77,7 +80,8 @@ class GaussianGrid:
     @property
     def extended_points(self) -> np.ndarray:
         """Quadrature grid spanning [-2L, 2L] at the same spacing."""
-        return np.linspace(-2.0 * self.L, 2.0 * self.L, self.n + 2 * self.pad)
+        half = np.linspace(0.0, 2.0 * self.L, self.n)
+        return np.concatenate((-half[:0:-1], half))
 
     def trap_weights(self, pts: np.ndarray) -> np.ndarray:
         w = np.full(len(pts), self.h)
@@ -99,13 +103,12 @@ class GaussianSolution:
 
 def _extend_demand(X: np.ndarray, grid: GaussianGrid) -> np.ndarray:
     """Continue X beyond [-L, L] linearly at its (clamped) edge slope."""
-    v_ext = grid.extended_points
     pad = grid.pad
     slope = (X[-1] - X[-2]) / grid.h
     slope = min(max(slope, 0.0), 2.0)
-    out = np.empty(len(v_ext))
+    out = np.empty(grid.n + 2 * pad)
     out[pad : pad + grid.n] = X
-    tail = v_ext[pad + grid.n :] - grid.L
+    tail = grid.extended_points[pad + grid.n :] - grid.L
     out[pad + grid.n :] = X[-1] + slope * tail
     out[:pad] = -(X[-1] + slope * tail)[::-1]  # odd mirror of the upper tail
     return out
@@ -117,23 +120,34 @@ def _odd_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a[::-1])
 
 
+def _row_blocks(n_rows: int, n_cols: int, k: int = 1):
+    """Slices of at most _BLOCK rows, each with its k views into one buffer."""
+    buf = np.empty((k, min(_BLOCK, n_rows), n_cols))
+    for lo in range(0, n_rows, _BLOCK):
+        yield slice(lo, lo + _BLOCK), buf[:, : min(_BLOCK, n_rows - lo)]
+
+
 def _price_on(d_pts: np.ndarray, X: np.ndarray, grid: GaussianGrid) -> tuple[np.ndarray, int]:
     """P(d) = E[v | X(v) + u = d] on a symmetric d-grid for an odd X on the
     v-grid, and the number of order flows whose posterior underflowed.
 
-    Trapezoid quadrature over the extended v-grid, on the rows d > 0 only:
-    P(0) = 0 and P(-d) = -P(d).  A row whose posterior mass is at most
-    1e-290 takes the price of the nearest well-conditioned row toward d = 0.
+    Trapezoid quadrature over the extended v-grid, on blocks of the rows
+    d > 0 only: P(0) = 0 and P(-d) = -P(d).  A row whose posterior mass is at
+    most 1e-290 takes the price of the nearest well-conditioned row toward 0.
     """
     v_ext = grid.extended_points
     # the weights carry the kernel's 1/sqrt(2 pi) too, so the kernel is a bare exp
     wphi = _normal_pdf(v_ext) * grid.trap_weights(v_ext) * _INV_SQRT_2PI
-    mid = len(d_pts) // 2
-    kern = np.subtract.outer(d_pts[mid + 1 :], _extend_demand(X, grid))
-    np.square(kern, out=kern)
-    kern *= -0.5
-    np.exp(kern, out=kern)
-    denom, num = (kern @ np.stack((wphi, wphi * v_ext), axis=1)).T
+    weights = np.stack((wphi, wphi * v_ext), axis=1)
+    d_pos, X_ext = d_pts[len(d_pts) // 2 + 1 :], _extend_demand(X, grid)
+    mass = np.empty((len(d_pos), 2))  # the posterior mass and mean of each row d > 0
+    for rows, (kern,) in _row_blocks(len(d_pos), len(X_ext)):
+        np.subtract.outer(d_pos[rows], X_ext, out=kern)
+        np.square(kern, out=kern)
+        kern *= -0.5
+        np.exp(kern, out=kern)
+        np.matmul(kern, weights, out=mass[rows])
+    denom, num = mass.T
     good = denom > 1e-290
     ratio = np.zeros(len(good) + 1)  # ratio[0] is P(0)
     np.divide(num, denom, out=ratio[1:], where=good)
@@ -191,7 +205,7 @@ def gaussian_best_response(
     odd and C even, and for v >= 0 the objective gains 2xv from -x to x; so
     the rows v >= 0 are solved on the orders x >= 0 and mirrored."""
     v = grid.points[grid.pad :]  # v >= 0, and the grid's x >= 0
-    xn = np.union1d(np.append(0.0, v[1:]), penalty.row_starts(grid.L))  # the middle node is 0 exactly
+    xn = np.union1d(v, penalty.row_starts(grid.L))
     phat = np.interp(xn, v, expected_price_gaussian(_odd_part(P), grid)[grid.pad :])
     slope = np.append(0.0, np.diff(phat) / np.diff(xn))
     c0, c1, c2 = penalty.coefficients(xn)
@@ -199,14 +213,16 @@ def gaussian_best_response(
     b = slope * xn - phat - c1  # with Phat on each cell read from its right end
     half_inv_q = np.divide(0.5, q, out=np.zeros_like(q), where=q > 0.0)
     first = np.where(q > 0.0, np.append(0.0, xn[:-1]), xn)  # the right end where q <= 0
-    # x(v + b - q x) - c0 at each cell's clipped vertex, on every row v >= 0 (mostly in place)
-    vals = np.add.outer(v, b)
-    x = np.clip(vals * half_inv_q, first, xn)
-    vals -= q * x
-    vals *= x
-    vals -= c0
-    k = np.argmax(vals, axis=1)
-    top = vals[np.arange(len(v)), k]
+    k, top = np.empty(len(v), dtype=np.intp), np.empty(len(v))
+    # x(v + b - q x) - c0 at each cell's clipped vertex, in place, block by block of the rows v >= 0
+    for rows, (vals, x, qx) in _row_blocks(len(v), len(xn), 3):
+        np.add.outer(v[rows], b, out=vals)
+        np.minimum(np.maximum(np.multiply(vals, half_inv_q, out=x), first, out=x), xn, out=x)
+        vals -= np.multiply(q, x, out=qx)
+        vals *= x
+        vals -= c0
+        k[rows] = np.argmax(vals, axis=1)
+        top[rows] = vals[np.arange(len(vals)), k[rows]]
     nodes = np.searchsorted(xn, (0.0, *penalty.breakpoints()))
     at_nodes = xn[nodes] * (np.add.outer(v, b[nodes]) - q[nodes] * xn[nodes]) - c0[nodes]
     tied = np.where(at_nodes >= top[:, None] - tie_tol, xn[nodes], np.inf).min(axis=1)

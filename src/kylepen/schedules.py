@@ -192,12 +192,6 @@ class DemandSchedule(OddMap):
             self._inverse = OddMap(levels[first], lo, hi)
         return self._inverse
 
-    def _inverse_pieces(self):
-        """(xlo, xhi, vlo, vhi): the linear pieces of the inverse, a
-        contiguous cover of [0, x_max].  Jumps of X give its constant
-        pieces; flats of X are the v-gaps between adjacent pieces."""
-        return self.inverse.segment_arrays()
-
     def inverse_limit(self, x, side: str):
         """One-sided limit of the (a.e.-common) inverse at x; side is '-' or
         '+'.  The left inverse is the left limit and the right inverse the

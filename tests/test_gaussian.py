@@ -1,5 +1,7 @@
 """Fixed-point solver under normal noise (qualitative robustness checks)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,8 +152,17 @@ def worst_response_gap(X, objective, penalty, grid):
 
 
 # the dense kernels are the oracles of the symmetric ones; the posterior
-# underflows on some rows of the two widest grids, where the fill engages
-PARITY_GRIDS = [GaussianGrid(), GaussianGrid(10.0, 201), GaussianGrid(20.0, 201), GaussianGrid(38.0, 101)]
+# underflows on some rows of the two widest grids, where the fill engages.
+# The kernels run in blocks of 32 rows: n = 11 has fewer rows d > 0 than one
+# block, and n = 171 ends in a partial block on both of its d-grids (85 and 170 rows)
+PARITY_GRIDS = [
+    GaussianGrid(),
+    GaussianGrid(10.0, 201),
+    GaussianGrid(20.0, 201),
+    GaussianGrid(38.0, 101),
+    GaussianGrid(5.0, 11),
+    GaussianGrid(7.0, 171),
+]
 PARITY_PENALTIES = [
     kp.ZeroPenalty(),
     kp.QuadraticPenalty(2.0),
@@ -193,6 +204,14 @@ def test_symmetric_kernels_match_the_dense_oracles(grid, monkeypatch):
             m.setattr(kp.gaussian, "expected_price_gaussian", reference_expected_price_gaussian)
             assert worst_response_gap(gaussian_best_response(P, pen, grid), objective, pen, grid) <= 1e-12
     assert (fills > 0) == (grid.L >= 20.0)
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS + [GaussianGrid(3.7, 101)], ids=lambda g: f"L{g.L:g}-n{g.n}")
+def test_grids_are_exactly_odd(grid):
+    for pts, top in ((grid.points, grid.L), (grid.extended_points, 2.0 * grid.L)):
+        assert np.array_equal(pts, -pts[::-1])
+        assert pts[len(pts) // 2] == 0.0
+        assert pts[-1] == top
 
 
 def _library_objective(P, penalty, grid):
@@ -267,3 +286,25 @@ def test_price_update_prices_the_odd_part():
     P = gaussian_price_update(X, SMALL)
     assert np.array_equal(P, gaussian_price_update(0.5 * (X - X[::-1]), SMALL))
     assert np.array_equal(P, -P[::-1])
+
+
+def _peak_bytes(f):
+    """Peak traced allocation of one call of f, after one untraced warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_work_in_row_blocks_on_the_default_grid():
+    # the full price kernel alone is 800 x 1,601 doubles, 10 MB, and the full
+    # table of best-response cell values 1.3 MB per array
+    grid = GaussianGrid()
+    pen = kp.ConstantAbovePenalty(1.0, 0.5)
+    X = gaussian_best_response(grid.extended_points / 2.0, pen, grid)
+    P = gaussian_price_update(X, grid, extended=True)
+    assert _peak_bytes(lambda: gaussian_price_update(X, grid, extended=True)) < 1e6
+    assert _peak_bytes(lambda: gaussian_best_response(P, pen, grid)) < 2e6

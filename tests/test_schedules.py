@@ -181,7 +181,7 @@ def reference_inverse_integral(X, p, q):
 
     def anti(t):
         total = 0.0
-        for a, b, va, vb in zip(*X._inverse_pieces()):
+        for a, b, va, vb in zip(*X.inverse.segment_arrays()):
             if t <= a:
                 break
             u = min(t, b)
@@ -196,7 +196,7 @@ def reference_inverse_integral(X, p, q):
 def _integral_limits(X, rng):
     """Random limits plus the piece ends, 0 and +-x_max, as (p, q) pairs."""
     xm = X.x_max
-    ends = np.concatenate([X._inverse_pieces()[0], [0.0, xm]])
+    ends = np.concatenate([X.inverse.segment_arrays()[0], [0.0, xm]])
     ends = ends[:: max(1, len(ends) // 40)]
     pts = np.concatenate([rng.uniform(-xm, xm, 60), ends, -ends])
     return list(zip(pts, rng.permutation(pts)))
@@ -219,7 +219,7 @@ def test_inverse_pieces_match_node_loop(rng, large_schedules):
     schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
     schedules += [kp.DemandSchedule.zero(), kp.DemandSchedule.step_mimic(0.5)]
     for X in schedules:
-        for new, ref in zip(X._inverse_pieces(), reference_inverse_pieces(X)):
+        for new, ref in zip(X.inverse.segment_arrays(), reference_inverse_pieces(X)):
             assert np.array_equal(new, ref)
 
 
