@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DomainError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .penalties import Penalty
 from .schedules import DemandSchedule, OddMap
 
 SQRT3 = np.sqrt(3.0)
@@ -89,6 +88,7 @@ class MonteCarloMetrics:
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_BLOCK = 1 << 15  # Monte Carlo draws per block; one block's temporaries are 256 kB each
 
 
 def _estimate(samples: np.ndarray) -> Estimate:
@@ -104,30 +104,34 @@ def monte_carlo_metrics(sol, n: int, seed: int) -> MonteCarloMetrics:
     interval of ``PriceFunction.interval``: the price is its midpoint and
     the conditional standard deviation behind S its length over 2*sqrt(3),
     so one interval read per draw serves both and no nested sampling layer
-    is needed.
+    is needed.  v is the first n uniforms of ``default_rng(seed)`` and u the
+    next n, evaluated in cache-sized blocks of ``_BLOCK``; only the four
+    per-draw samples are kept whole, so a 10^6-draw call peaks at about
+    39 MiB and the estimates equal those of evaluating all draws at once.
     """
     if n < 2:
         raise DomainError("Monte Carlo metrics need at least 2 draws")
-    rng = np.random.default_rng(seed)
-    schedule: DemandSchedule = sol.schedule
-    penalty: Penalty = sol.penalty
-
-    v = rng.uniform(-1.0, 1.0, n)
-    u = rng.uniform(-1.0, 1.0, n)
-    x = schedule.evaluate(v)
-    lo, hi = sol.price.interval(x + u)
-    p = 0.5 * (lo + hi)
-
-    g_samples = u * (v - p)
-    s_samples = (hi - lo) / (2.0 * SQRT3)
-    f_samples = penalty.value(x)
-    pi_samples = x * (v - p) - f_samples
+    g, s, pi, f = np.empty((4, n))
+    v_rng = np.random.default_rng(seed)
+    u_rng = np.random.default_rng(seed)
+    u_rng.bit_generator.advance(n)  # one PCG64 output per uniform double
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, n))
+        v = v_rng.uniform(-1.0, 1.0, block.stop - lo)
+        u = u_rng.uniform(-1.0, 1.0, block.stop - lo)
+        x = sol.schedule.evaluate(v)
+        low, high = sol.price.interval(x + u)
+        v -= 0.5 * (low + high)  # v - P
+        np.multiply(u, v, out=g[block])
+        np.divide(high - low, 2.0 * SQRT3, out=s[block])
+        f[block] = sol.penalty.value(x)
+        np.subtract(x * v, f[block], out=pi[block])
 
     return MonteCarloMetrics(
-        G=_estimate(g_samples),
-        S=_estimate(s_samples),
-        Pi_N=_estimate(pi_samples),
-        F=_estimate(f_samples),
+        G=_estimate(g),
+        S=_estimate(s),
+        Pi_N=_estimate(pi),
+        F=_estimate(f),
         n=n,
         seed=seed,
     )

@@ -215,14 +215,6 @@ class DemandSchedule(OddMap):
             raise DomainError("inverse argument outside [-x_max, x_max]")
         return np.clip(x, -xm, xm)
 
-    def inverse_integral(self, p: float, q: float) -> float:
-        """Exact integral of the inverse over [p, q] within [-x_max, x_max].
-
-        The left and right inverses agree outside a countable set, so the
-        integral is unambiguous.
-        """
-        return self.inverse.integral(q) - self.inverse.integral(p)
-
     # ------------------------------------------------------------------
     # exact polynomial integrals over the piecewise representation
     # ------------------------------------------------------------------

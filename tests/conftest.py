@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,11 +229,18 @@ def reference_jump_points(P):
     return sorted({d for x in levels for d in (x + 1.0, x - 1.0, -x + 1.0, -x - 1.0)})
 
 
+def reference_inverse_integral(X, p, q):
+    """Exact integral of the inverse of X over [p, q] within [-x_max, x_max],
+    from the inverse's even antiderivative.  The left and right inverses
+    agree outside a countable set, so the integral is unambiguous."""
+    return X.inverse.integral(q) - X.inverse.integral(p)
+
+
 def reference_expected_price(P, x):
     """E[P(x + u)] at a scalar x by the saturated-tail case list: the tails
     of P past +-(1 + x_max), then each inverse term clamped at +-x_max."""
     xm = P.x_max
-    inverse_integral = P.schedule.inverse_integral
+    X = P.schedule
     a, b = x - 1.0, x + 1.0
     total = 0.0
     hi_cut = 1.0 + xm
@@ -247,13 +256,13 @@ def reference_expected_price(P, x):
             total -= 0.5 * (min(yb, -xm) - ya)
             ya = -xm
         if yb > ya:
-            total += 0.5 * inverse_integral(ya, yb)
+            total += 0.5 * reference_inverse_integral(X, ya, yb)
         ya, yb = a + 1.0, b + 1.0
         if yb > xm:
             total += 0.5 * (yb - max(ya, xm))
             yb = xm
         if yb > ya:
-            total += 0.5 * inverse_integral(ya, yb)
+            total += 0.5 * reference_inverse_integral(X, ya, yb)
     return 0.5 * total
 
 
@@ -372,6 +381,17 @@ def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol
     eligible = vals >= vals.max(axis=0) - tie_tol
     pick = np.argmin(np.where(eligible, np.abs(xc), np.inf), axis=0)
     return xc[pick, np.arange(grid.n)]
+
+
+def peak_bytes(f):
+    """Peak traced allocation of one call of f, after one untraced warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

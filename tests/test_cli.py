@@ -146,6 +146,9 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         ["solve", "--penalty", NEGATIVE_PAST_1, "--support", "2,-1,1"],
         ["solve", "--penalty", DROP_AT_1, "--support", "2,-1,1"],
         ["metrics", "--penalty", DROP_AT_1, "--support", "2,-1,1"],
+        # numpy refuses these counts at once, without touching memory
+        ["mc-validate", "--penalty", QUAD, "--n", str(10**15)],
+        ["metrics", "--penalty", QUAD, "--mc", str(10**15)],
     ],
     ids=[
         "nan-support",
@@ -169,6 +172,8 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         "support-negative-past-1",
         "support-drop-at-1",
         "metrics-support-drop-at-1",
+        "mc-huge-n",
+        "metrics-huge-mc",
     ],
 )
 def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):

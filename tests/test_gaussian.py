@@ -1,12 +1,11 @@
 """Fixed-point solver under normal noise (qualitative robustness checks)."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import kylepen as kp
 from conftest import (
+    peak_bytes,
     random_tabulated_penalty,
     reference_expected_price_gaussian,
     reference_gaussian_best_response,
@@ -288,17 +287,6 @@ def test_price_update_prices_the_odd_part():
     assert np.array_equal(P, -P[::-1])
 
 
-def _peak_bytes(f):
-    """Peak traced allocation of one call of f, after one untraced warm-up call."""
-    f()
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_kernels_work_in_row_blocks_on_the_default_grid():
     # the full price kernel alone is 800 x 1,601 doubles, 10 MB, and the full
     # table of best-response cell values 1.3 MB per array
@@ -306,5 +294,5 @@ def test_kernels_work_in_row_blocks_on_the_default_grid():
     pen = kp.ConstantAbovePenalty(1.0, 0.5)
     X = gaussian_best_response(grid.extended_points / 2.0, pen, grid)
     P = gaussian_price_update(X, grid, extended=True)
-    assert _peak_bytes(lambda: gaussian_price_update(X, grid, extended=True)) < 1e6
-    assert _peak_bytes(lambda: gaussian_best_response(P, pen, grid)) < 2e6
+    assert peak_bytes(lambda: gaussian_price_update(X, grid, extended=True)) < 1e6
+    assert peak_bytes(lambda: gaussian_best_response(P, pen, grid)) < 2e6

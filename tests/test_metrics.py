@@ -5,9 +5,10 @@ import pytest
 
 import kylepen as kp
 from kylepen.equilibrium import psi
-from kylepen.metrics import SQRT3
+from kylepen.metrics import _BLOCK, SQRT3
 
 from conftest import (
+    peak_bytes,
     random_schedule,
     random_shaded_schedule,
     random_tabulated_penalty,
@@ -131,6 +132,27 @@ def test_monte_carlo_reads_each_draw_once(rng, large_schedules):
         for seed in (1, 2, 3):
             est = kp.monte_carlo_metrics(sol, n=50_000, seed=seed)
             assert (est.G, est.S, est.Pi_N, est.F) == reference_monte_carlo(sol, 50_000, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+def test_monte_carlo_blocks_give_the_draws_at_once(large_schedules, n):
+    """Draw counts around the block size give the estimates of drawing v and
+    u whole and evaluating every draw at once, bit for bit: a partial last
+    block is evaluated, and u starts where the n draws of v end."""
+    sols = [
+        kp.solve_equilibrium(kp.ConstantAbovePenalty(0.2, 0.1)),
+        kp.EquilibriumSolution(kp.QuadraticPenalty(0.1), large_schedules[1], kp.PriceFunction(large_schedules[1]), {}),
+    ]
+    for sol in sols:
+        est = kp.monte_carlo_metrics(sol, n=n, seed=7)
+        assert (est.G, est.S, est.Pi_N, est.F) == reference_monte_carlo(sol, n, 7)
+
+
+def test_monte_carlo_keeps_only_the_samples_whole():
+    # evaluating 10^6 draws at once holds the draws and every per-draw
+    # temporary whole, over 100 MiB; the four sample arrays are 30.5 MiB
+    sol = kp.solve_equilibrium(kp.ConstantAbovePenalty(0.2, 0.1))
+    assert peak_bytes(lambda: kp.monte_carlo_metrics(sol, n=10**6, seed=3)) < 48 * 2**20
 
 
 # ----------------------------------------------------------------------
