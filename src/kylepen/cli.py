@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -134,8 +135,9 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj) -> str:
-    """Write obj as sorted, indented JSON; returns the text for echoing."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj as sorted, indented, strict JSON (NaN and infinities are
+    refused before the file is opened); returns the text for echoing."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path.write_text(text)
     return text
 
@@ -152,6 +154,17 @@ def _write_gaussian_curves(out: Path, sol):
     pts = sol.grid.points.tolist()
     _write_csv(out / "demand.csv", ["v", "X"], zip(pts, sol.X.tolist()))
     _write_csv(out / "price.csv", ["d", "P"], zip(pts, sol.P.tolist()))
+
+
+def _gaussian_record(penalty, sol) -> dict:
+    """The fields every Gaussian output records about its solution."""
+    return {
+        "penalty": penalty.to_json(),
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+        "converged": sol.converged,
+        "flags": sol.flags,
+    }
 
 
 def _intervals(est) -> dict:
@@ -179,19 +192,13 @@ def _cmd_solve(args) -> int:
     }
     if spec is not None:
         den = denormalize_solution(sol, spec)
-        meta["support"] = {"a": spec.a, "b": spec.b, "c": spec.c}
+        meta["support"] = dataclasses.asdict(spec)
         meta["normalized_penalty"] = penalty0.to_json()
         vs = np.linspace(spec.b, spec.c, args.samples)
         rows = zip(vs.tolist(), den.demand(vs).tolist())
         _write_csv(out / "demand_original_support.csv", ["v", "X"], rows)
     if args.verify:
-        report = verify_equilibrium(sol)
-        meta["verification"] = {
-            "linear_expected_price": report.linear_expected_price,
-            "optimality": report.optimality,
-            "break_even": report.break_even,
-            "details": report.details,
-        }
+        meta["verification"] = dataclasses.asdict(verify_equilibrium(sol))
     _write_json(out / "meta.json", meta)
     return EXIT_OK
 
@@ -200,7 +207,7 @@ def _cmd_metrics(args) -> int:
     penalty, spec, _, sol = _solve_on_support(args)
     payload = {"penalty": penalty.to_json(), "closed_form": compute_metrics(sol.schedule).as_dict()}
     if spec is not None:
-        payload["support"] = {"a": spec.a, "b": spec.b, "c": spec.c}
+        payload["support"] = dataclasses.asdict(spec)
         payload["original_support_metrics"] = denormalize_solution(sol, spec).metrics().as_dict()
     if args.mc:
         est = monte_carlo_metrics(sol, n=args.mc, seed=args.seed)
@@ -247,19 +254,8 @@ def _cmd_gaussian(args) -> int:
     sol = gaussian_fixed_point(penalty, grid=grid, damping=args.damping, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args)
     _write_gaussian_curves(out, sol)
-    _write_json(
-        out / "meta.json",
-        {
-            "penalty": penalty.to_json(),
-            "grid": {"L": grid.L, "n": grid.n},
-            "damping": args.damping,
-            "tol": args.tol,
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "converged": sol.converged,
-            "flags": sol.flags,
-        },
-    )
+    meta = {"grid": {"L": grid.L, "n": grid.n}, "damping": args.damping, "tol": args.tol}
+    _write_json(out / "meta.json", {**_gaussian_record(penalty, sol), **meta})
     return EXIT_OK
 
 
@@ -324,15 +320,7 @@ def _cmd_figures(args) -> int:
 
     for name, penalty, description in GAUSSIAN_CASES:
         sol = gaussian_fixed_point(penalty, grid=grid)
-        manifest = {
-            "figure": description,
-            "penalty": penalty.to_json(),
-            "iterations": sol.iterations,
-            "residual": sol.residual,
-            "converged": sol.converged,
-            "flags": sol.flags,
-        }
-        _write_gaussian_curves(figure(name, manifest), sol)
+        _write_gaussian_curves(figure(name, {"figure": description, **_gaussian_record(penalty, sol)}), sol)
 
     _write_json(out / "manifest.json", {"figures": produced})
     return EXIT_OK
@@ -341,75 +329,74 @@ def _cmd_figures(args) -> int:
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
+# argparse keywords of every flag, each stated once
+FLAGS = {
+    "--penalty": {"required": True, "help": "inline penalty JSON or path to a JSON file"},
+    "--support": {"default": None, "help": "original supports 'a,b,c'"},
+    "--method": {"choices": ["auto", "analytic", "numeric"], "default": "auto"},
+    "--samples": {"type": int, "default": 1001},
+    "--verify": {"action": "store_true", "help": "run equilibrium checks"},
+    "--mc": {"type": int, "default": 0, "help": "Monte Carlo sample count"},
+    "--seed": {"type": int, "default": 0},
+    "--n": {"type": int, "default": 1_000_000},
+    "--fmin": {"type": float, "default": 0.0},
+    "--grid": {
+        "type": int,
+        "default": 400,
+        "help": "|G| values per frontier (frontier, figures) or generator samples per side (surface)",
+    },
+    "--grid-n": {"type": int, "default": 801},
+    "--grid-l": {"type": float, "default": 5.0},
+    "--damping": {"type": float, "default": 0.5},
+    "--tol": {"type": float, "default": 1e-5},
+    "--max-iter": {"type": int, "default": 200},
+    "--gaussian-n": {"type": int, "default": 801},
+    "--gaussian-l": {"type": float, "default": 5.0},
+    "--out": {"default": None, "help": f"output directory (default: ${OUT_DIR_ENV} or current dir)"},
+}
+
+COMMANDS = (  # (name, handler, help, flags); every subcommand also takes --out
+    (
+        "solve",
+        _cmd_solve,
+        "solve the equilibrium and emit demand/price curves",
+        ("--penalty", "--support", "--method", "--samples", "--verify"),
+    ),
+    (
+        "metrics",
+        _cmd_metrics,
+        "closed-form metrics, optional Monte Carlo block",
+        ("--penalty", "--support", "--mc", "--seed"),
+    ),
+    ("frontier", _cmd_frontier, "constrained efficient frontier", ("--fmin", "--grid")),
+    ("surface", _cmd_surface, "full efficient-surface sample", ("--grid",)),
+    ("mc-validate", _cmd_mc_validate, "Monte Carlo check of the closed forms", ("--penalty", "--n", "--seed")),
+    (
+        "gaussian",
+        _cmd_gaussian,
+        "fixed-point solver under normal noise",
+        ("--penalty", "--grid-n", "--grid-l", "--damping", "--tol", "--max-iter"),
+    ),
+    (
+        "figures",
+        _cmd_figures,
+        "emit the data behind every reproduced figure",
+        ("--samples", "--grid", "--gaussian-n", "--gaussian-l"),
+    ),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kylepen",
         description="Equilibria and regulator metrics for an insider game with trade penalties.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, penalty=True):
-        if penalty:
-            sp.add_argument(
-                "--penalty",
-                required=True,
-                help="inline penalty JSON or path to a JSON file",
-            )
-        sp.add_argument(
-            "--out",
-            default=None,
-            help=f"output directory (default: ${OUT_DIR_ENV} or current dir)",
-        )
-
-    sp = sub.add_parser("solve", help="solve the equilibrium and emit demand/price curves")
-    add_common(sp)
-    sp.add_argument("--support", default=None, help="original supports 'a,b,c'")
-    sp.add_argument("--method", choices=["auto", "analytic", "numeric"], default="auto")
-    sp.add_argument("--samples", type=int, default=1001)
-    sp.add_argument("--verify", action="store_true", help="run equilibrium checks")
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("metrics", help="closed-form metrics, optional Monte Carlo block")
-    add_common(sp)
-    sp.add_argument("--support", default=None, help="original supports 'a,b,c'")
-    sp.add_argument("--mc", type=int, default=0, help="Monte Carlo sample count")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_metrics)
-
-    sp = sub.add_parser("frontier", help="constrained efficient frontier")
-    add_common(sp, penalty=False)
-    sp.add_argument("--fmin", type=float, default=0.0)
-    sp.add_argument("--grid", type=int, default=400, help="number of |G| values on the frontier")
-    sp.set_defaults(func=_cmd_frontier)
-
-    sp = sub.add_parser("surface", help="full efficient-surface sample")
-    add_common(sp, penalty=False)
-    sp.add_argument("--grid", type=int, default=400, help="generator samples per side")
-    sp.set_defaults(func=_cmd_surface)
-
-    sp = sub.add_parser("mc-validate", help="Monte Carlo check of the closed forms")
-    add_common(sp)
-    sp.add_argument("--n", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_mc_validate)
-
-    sp = sub.add_parser("gaussian", help="fixed-point solver under normal noise")
-    add_common(sp)
-    sp.add_argument("--grid-n", type=int, default=801)
-    sp.add_argument("--grid-l", type=float, default=5.0)
-    sp.add_argument("--damping", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--max-iter", type=int, default=200)
-    sp.set_defaults(func=_cmd_gaussian)
-
-    sp = sub.add_parser("figures", help="emit the data behind every reproduced figure")
-    add_common(sp, penalty=False)
-    sp.add_argument("--samples", type=int, default=1001)
-    sp.add_argument("--grid", type=int, default=400, help="number of |G| values on each frontier")
-    sp.add_argument("--gaussian-n", type=int, default=801)
-    sp.add_argument("--gaussian-l", type=float, default=5.0)
-    sp.set_defaults(func=_cmd_figures)
-
+    for name, handler, help_text, flags in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--out"):
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(func=handler)
     return p
 
 

@@ -64,8 +64,8 @@ class Penalty:
         return c0[k], c1[k], c2[k]
 
     def row_starts(self, top: float) -> np.ndarray:
-        """Starts in (0, top) of the rows ``value_extended`` reads: every x > 0
-        where C, continued past 1, may jump or kink."""
+        """Row starts in (0, top): every x > 0 where C, continued past 1 by
+        its last row, may jump or kink."""
         a = self._table[0]
         return a[(a > 0.0) & (a < top)]
 
@@ -75,12 +75,6 @@ class Penalty:
         x = np.minimum(pos, 1.0)
         out = _horner(*self.coefficients(x), x)
         return float(out) if scalar else out
-
-    def value_extended(self, x):
-        """C(|x|) without the [-1, 1] restriction (the last row continued)."""
-        arr = np.abs(np.asarray(x, dtype=float))
-        out = _horner(*self.coefficients(arr), arr)
-        return float(out) if arr.ndim == 0 else out
 
     def pieces(self) -> list[tuple]:
         """C on [0, 1] as rows ``(a, b, c0, c1, c2, jump)``.
@@ -96,7 +90,25 @@ class Penalty:
         return tuple(a for a, _, _, _, _, jump in self.pieces() if a > 0.0 or jump)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The JSON description ``penalty_from_json`` reads back: the kind and
+        its ``_KINDS`` keys, each read from the attribute of that name."""
+        return {"kind": self.kind, **{key: getattr(self, key) for key in _KINDS[self.kind][1]}}
+
+    def rescaled(self, a: float, sigma: float) -> Penalty:
+        """Penalty of the normalized model, C0(x0) = C(a x0) / (a sigma), for
+        noise half-width a and fundamental half-width sigma.
+
+        The divisor a*sigma is the factor by which the insider's objective
+        rescales under the change of variables, so the normalized game has
+        the same argmax structure as the original one.  The result is built
+        by ``penalty_from_json``, so a parameter that rescales to a
+        non-finite number is refused like one read from JSON.
+        """
+        rescale = _KINDS[self.kind][1]
+        if None in rescale.values():
+            raise DomainError("penalty kind has no defined meaning on general supports")
+        params = self.to_json()
+        return penalty_from_json({"kind": self.kind, **{key: f(params[key], a, sigma) for key, f in rescale.items()}})
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_json()})"
@@ -107,9 +119,6 @@ class ZeroPenalty(Penalty):
 
     def _rows(self):
         return [(0.0, math.inf, 0.0, 0.0, 0.0, False)]
-
-    def to_json(self):
-        return {"kind": "zero"}
 
 
 class ConstantNonzeroPenalty(Penalty):
@@ -124,9 +133,6 @@ class ConstantNonzeroPenalty(Penalty):
 
     def _rows(self):
         return [(0.0, math.inf, self.K, 0.0, 0.0, self.K > 0.0)]
-
-    def to_json(self):
-        return {"kind": "constant_nonzero", "K": self.K}
 
 
 class ConstantAbovePenalty(Penalty):
@@ -143,9 +149,6 @@ class ConstantAbovePenalty(Penalty):
     def _rows(self):
         return [(0.0, self.x0, 0.0, 0.0, 0.0, False), (self.x0, math.inf, self.K, 0.0, 0.0, self.K > 0.0)]
 
-    def to_json(self):
-        return {"kind": "constant_above", "K": self.K, "x0": self.x0}
-
 
 class LinearPenalty(Penalty):
     kind = "linear"
@@ -158,9 +161,6 @@ class LinearPenalty(Penalty):
     def _rows(self):
         return [(0.0, math.inf, 0.0, self.alpha, 0.0, False)]
 
-    def to_json(self):
-        return {"kind": "linear", "alpha": self.alpha}
-
 
 class QuadraticPenalty(Penalty):
     kind = "quadratic"
@@ -172,9 +172,6 @@ class QuadraticPenalty(Penalty):
 
     def _rows(self):
         return [(0.0, math.inf, 0.0, 0.0, self.alpha, False)]
-
-    def to_json(self):
-        return {"kind": "quadratic", "alpha": self.alpha}
 
 
 class OptimalCanonicalPenalty(Penalty):
@@ -195,9 +192,6 @@ class OptimalCanonicalPenalty(Penalty):
         s = self.cutoff
         return [(0.0, s, 0.0, s, -0.5, False), (s, math.inf, self.K, 0.0, 0.0, False)]
 
-    def to_json(self):
-        return {"kind": "optimal_canonical", "K": self.K}
-
 
 class SurfaceOptimalPenalty(Penalty):
     """Budget-efficient penalty: C(x) = v1|x| - (v1/2v2)x^2 below v2, flat above."""
@@ -213,9 +207,6 @@ class SurfaceOptimalPenalty(Penalty):
     def _rows(self):
         v1, v2 = self.v1, self.v2
         return [(0.0, v2, 0.0, v1, -(v1 / (2.0 * v2)), False), (v2, math.inf, 0.5 * v1 * v2, 0.0, 0.0, False)]
-
-    def to_json(self):
-        return {"kind": "surface", "v1": self.v1, "v2": self.v2}
 
 
 class TabulatedPenalty(Penalty):
@@ -292,10 +283,12 @@ def _points(points, a, sigma):
     return [[x / a, c / scale, jump, *(r / scale for r in right)] for x, c, jump, *right in points]
 
 
-# kind -> (constructor, {JSON key: rescaling} in argument order).  A rescaling
-# maps the parameter to that of C0(x0) = C(a x0) / (a sigma), the penalty of
-# the normalized model for noise half-width a and fundamental half-width
-# sigma; None marks a kind defined on the normalized model only.
+# kind -> (constructor, {JSON key: rescaling} in argument order), the one
+# statement of each kind's JSON schema: ``penalty_from_json`` reads these keys
+# and ``Penalty.to_json`` writes them.  A rescaling maps the parameter to that
+# of C0(x0) = C(a x0) / (a sigma), the penalty of the normalized model for
+# noise half-width a and fundamental half-width sigma (``Penalty.rescaled``);
+# None marks a kind defined on the normalized model only.
 _KINDS = {
     "zero": (ZeroPenalty, {}),
     "constant_nonzero": (ConstantNonzeroPenalty, {"K": _level}),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .metrics import Metrics
-from .penalties import _KINDS, Penalty
+from .penalties import Penalty
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,11 @@ class SupportSpec:
             raise DomainError("noise half-width must be positive")
         if self.b >= self.c:
             raise DomainError("fundamental support must satisfy b < c")
+        # on Python floats, which overflow to inf where numpy would warn
+        a, b, c = float(self.a), float(self.b), float(self.c)
+        sigma = 0.5 * (c - b)
+        if not (0.0 < sigma < math.inf and 0.0 < a * sigma < math.inf and math.isfinite(0.5 * (b + c))):
+            raise DomainError("support out of range: sigma and a*sigma must be finite and positive, (b + c)/2 finite")
 
     @property
     def m(self) -> float:
@@ -55,17 +60,8 @@ class SupportSpec:
 
 
 def normalize_penalty(penalty: Penalty, spec: SupportSpec) -> Penalty:
-    """Penalty of the normalized model: C0(x0) = C(a x0) / (a sigma).
-
-    The divisor a*sigma is the factor by which the insider's objective
-    rescales under the change of variables, so the normalized game has the
-    same argmax structure as the original one.
-    """
-    maker, rescale = _KINDS.get(penalty.kind, (None, None))
-    if rescale is None or None in rescale.values():
-        raise DomainError("penalty kind has no defined meaning on general supports")
-    params = penalty.to_json()
-    return maker(*(f(params[key], spec.a, spec.sigma) for key, f in rescale.items()))
+    """Penalty of the normalized model: C0(x0) = C(a x0) / (a sigma)."""
+    return penalty.rescaled(spec.a, spec.sigma)
 
 
 @dataclass

@@ -111,6 +111,16 @@ def reference_formula(pen, x):
     return out.reshape(shape)
 
 
+def value_extended(pen, x):
+    """C(|x|) without the [-1, 1] restriction: the penalty's row table read
+    past 1, its last row continued (closed forms keep their formula, a table
+    stays flat at C(1))."""
+    arr = np.abs(np.asarray(x, dtype=float))
+    c0, c1, c2 = pen.coefficients(arr)
+    out = c0 + arr * (c1 + arr * c2)
+    return float(out) if arr.ndim == 0 else out
+
+
 def reference_right_limit(pen, x):
     """lim_{t -> x+} C(t) for 0 <= x < 1: the polynomial of the piece (a, b]
     with a <= x < b, read at x."""
@@ -351,7 +361,7 @@ def reference_expected_price_gaussian(P, grid):
 def reference_gaussian_objective(P, penalty, grid):
     """x(v - Phat(x)) - C(x) with Phat interpolated from its x-grid values."""
     phat = reference_expected_price_gaussian(P, grid)
-    return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - penalty.value_extended(xq)
+    return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - value_extended(penalty, xq)
 
 
 def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol=1e-9):
@@ -360,7 +370,7 @@ def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol
     objective = reference_gaussian_objective(P, penalty, grid)
     phat = reference_expected_price_gaussian(P, grid)
     v = x = grid.points
-    m = x[None, :] * (v[:, None] - phat[None, :]) - penalty.value_extended(x)[None, :]
+    m = x[None, :] * (v[:, None] - phat[None, :]) - value_extended(penalty, x)[None, :]
     i = np.argmax(m, axis=1)
     lo = x[np.maximum(i - 1, 0)]
     hi = x[np.minimum(i + 1, grid.n - 1)]

@@ -12,6 +12,16 @@ QUAD = '{"kind": "quadratic", "alpha": 0.125}'
 # Admissible on [0, 1], but not on [0, 2], which --support 2,-1,1 rescales onto it.
 NEGATIVE_PAST_1 = '{"kind": "tabulated", "points": [[0, 0, false], [1, 0.3, false], [1.5, -0.5, false]]}'
 DROP_AT_1 = '{"kind": "tabulated", "points": [[0, 0, false], [1.0, 0.3, true, 0.1]]}'
+CONSTANT_ABOVE = '{"kind": "constant_above", "K": 0.1, "x0": 0.3}'
+
+
+# a*sigma, c - b, C(a x0) / (a sigma) and b + c overflow to infinity
+EXTREME_SUPPORTS = [
+    ["metrics", "--penalty", '{"kind": "constant_nonzero", "K": 0.1}', "--support", "1e300,-1e300,1e300"],
+    ["solve", "--penalty", CONSTANT_ABOVE, "--support", "1e308,-1e308,1e308", "--verify"],
+    ["solve", "--penalty", CONSTANT_ABOVE, "--support", "1e-320,-1,1"],
+    ["solve", "--penalty", '{"kind": "zero"}', "--support", "1,1e308,1.5e308"],
+]
 
 
 def _cell(text):
@@ -149,6 +159,7 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         # numpy refuses these counts at once, without touching memory
         ["mc-validate", "--penalty", QUAD, "--n", str(10**15)],
         ["metrics", "--penalty", QUAD, "--mc", str(10**15)],
+        *EXTREME_SUPPORTS,
     ],
     ids=[
         "nan-support",
@@ -174,6 +185,10 @@ def test_malformed_penalty_exit_code(tmp_path, capsys, spec):
         "metrics-support-drop-at-1",
         "mc-huge-n",
         "metrics-huge-mc",
+        "support-a-sigma-overflows",
+        "support-width-overflows",
+        "support-rescale-overflows",
+        "support-midpoint-overflows",
     ],
 )
 def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
@@ -182,6 +197,13 @@ def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "concatenate" not in err
+
+
+@pytest.mark.parametrize("argv", EXTREME_SUPPORTS, ids=["a-sigma", "width", "rescale", "midpoint"])
+def test_extreme_supports_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

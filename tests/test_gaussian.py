@@ -11,6 +11,7 @@ from conftest import (
     reference_gaussian_best_response,
     reference_gaussian_objective,
     reference_price_on,
+    value_extended,
 )
 from kylepen.errors import DomainError
 from kylepen.gaussian import (
@@ -121,6 +122,24 @@ def test_fixed_point_oddness_and_monotonicity():
     assert sol.flags["monotone"]
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_fixed_point_is_kyles_linear_equilibrium(alpha):
+    # Kyle (1985): under C(x) = alpha x^2 with standard normal v and u the
+    # equilibrium is X = beta v, P = lambda d, with lambda = beta / (beta^2 + 1)
+    # and beta = 1 / (2 (lambda + alpha)).  Eliminating lambda leaves
+    # 2 alpha beta^3 + beta^2 + 2 alpha beta - 1 = 0, increasing in beta > 0
+    # from -1 at 0, so beta is its one positive root.
+    roots = np.roots([2.0 * alpha, 1.0, 2.0 * alpha, -1.0])
+    beta = roots[(np.abs(roots.imag) < 1e-12) & (roots.real > 0.0)].real.item()
+    lam = beta / (beta * beta + 1.0)
+    sol = kp.gaussian_fixed_point(kp.QuadraticPenalty(alpha))
+    assert sol.converged
+    v = sol.grid.points
+    inner = np.abs(v) < 3.0
+    assert np.max(np.abs(sol.X - beta * v)[inner]) <= 1e-5
+    assert np.max(np.abs(sol.P - lam * v)[inner]) <= 1e-5
+
+
 def test_damping_validation():
     with pytest.raises(DomainError):
         kp.gaussian_fixed_point(kp.ZeroPenalty(), grid=SMALL, damping=0.0)
@@ -216,7 +235,7 @@ def test_grids_are_exactly_odd(grid):
 def _library_objective(P, penalty, grid):
     """x(v - Phat(x)) - C(x) with the library's own Phat, as np.interp reads it."""
     phat = expected_price_gaussian(P, grid)
-    return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - penalty.value_extended(xq)
+    return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - value_extended(penalty, xq)
 
 
 def _response_price(penalty, grid):

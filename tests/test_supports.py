@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kylepen as kp
-from conftest import random_tabulated_penalty, reference_formula
+from conftest import random_tabulated_penalty, reference_formula, value_extended
 from kylepen.errors import DomainError
 
 
@@ -70,7 +70,7 @@ def test_support_round_trip(rng):
             assert pen0.kind == pen.kind
             knots = np.array([row[0] for row in pen._rows()])
             x = np.concatenate([rng.uniform(-3.0 * a, 3.0 * a, 200), knots, -knots])
-            got = pen0.value_extended(x / spec.a) * scale
+            got = value_extended(pen0, x / spec.a) * scale
             assert np.max(np.abs(got - reference_formula(pen, x))) <= 1e-12
 
 
@@ -123,6 +123,27 @@ def test_round_trip_on_probe_grid(rng):
     vs = np.linspace(-2.0, 1.0, 31)
     expect = spec.a * beta0 * spec.to_unit(vs)
     assert np.allclose([den.demand(v) for v in vs], expect, atol=1e-12)
+
+
+def test_denormalized_price_is_the_posterior_midpoint():
+    # v is uniform on [b, c] and u on [-a, a], and X is non-decreasing, so
+    # given d the posterior of v is uniform on the interval
+    # {v : |X(v) - d| <= a}, and P(d) is its midpoint.  On a v-grid of step h
+    # each end of that interval is off by less than h, the midpoint by less
+    # than h / 2.
+    spec = kp.SupportSpec(1.5, -1.0, 2.0)
+    vs = np.linspace(spec.b, spec.c, 400_001)
+    step = vs[1] - vs[0]
+    for pen in (
+        kp.QuadraticPenalty(0.3),
+        kp.ConstantAbovePenalty(0.2, 0.5),
+        kp.TabulatedPenalty([[0.0, 0.0, False], [0.6, 0.1, True, 0.3], [1.5, 0.4, False]]),
+    ):
+        den = kp.denormalize_solution(kp.solve_equilibrium(kp.normalize_penalty(pen, spec)), spec)
+        demand = den.demand(vs)
+        for d in np.linspace(demand[0] - spec.a, demand[-1] + spec.a, 203)[1:-1]:
+            inside = vs[np.abs(demand - d) <= spec.a]
+            assert abs(den.price(d) - 0.5 * (inside[0] + inside[-1])) <= step
 
 
 def test_metric_scaling():
