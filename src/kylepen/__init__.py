@@ -20,8 +20,6 @@ from .schedules import DemandSchedule
 from .equilibrium import (
     EquilibriumSolution,
     PriceFunction,
-    expected_price,
-    price_function,
     psi,
     solve_demand,
     solve_equilibrium,
@@ -32,7 +30,6 @@ from .metrics import (
     MonteCarloMetrics,
     compute_metrics,
     monte_carlo_metrics,
-    pointwise_net_profit,
     repartition_transform,
     shading_moments,
 )
@@ -50,8 +47,8 @@ from .frontier import (
     x_alpha_schedule,
 )
 from .supports import (
+    DenormalizedSolution,
     SupportSpec,
-    denormalize_solution,
     normalize_penalty,
     threshold_cutoffs,
 )
@@ -87,14 +84,11 @@ __all__ = [
     "psi",
     "solve_demand",
     "solve_equilibrium",
-    "price_function",
-    "expected_price",
     "verify_equilibrium",
     "Metrics",
     "MonteCarloMetrics",
     "compute_metrics",
     "monte_carlo_metrics",
-    "pointwise_net_profit",
     "repartition_transform",
     "shading_moments",
     "FrontierPoint",
@@ -110,7 +104,7 @@ __all__ = [
     "quadratic_upper_boundary",
     "SupportSpec",
     "normalize_penalty",
-    "denormalize_solution",
+    "DenormalizedSolution",
     "threshold_cutoffs",
     "GaussianGrid",
     "GaussianSolution",

@@ -22,7 +22,7 @@ from .errors import DomainError, InfeasibleError
 from .equilibrium import solve_equilibrium, verify_equilibrium
 from .metrics import compute_metrics, monte_carlo_metrics
 from .frontier import fmin_efficient_frontier, sample_surface
-from .supports import SupportSpec, denormalize_solution, normalize_penalty
+from .supports import DenormalizedSolution, SupportSpec, normalize_penalty
 from .gaussian import GaussianGrid, gaussian_fixed_point
 from .penalties import (
     ConstantAbovePenalty,
@@ -191,7 +191,7 @@ def _cmd_solve(args) -> int:
         "solver": sol.meta,
     }
     if spec is not None:
-        den = denormalize_solution(sol, spec)
+        den = DenormalizedSolution(spec, sol)
         meta["support"] = dataclasses.asdict(spec)
         meta["normalized_penalty"] = penalty0.to_json()
         vs = np.linspace(spec.b, spec.c, args.samples)
@@ -208,7 +208,7 @@ def _cmd_metrics(args) -> int:
     payload = {"penalty": penalty.to_json(), "closed_form": compute_metrics(sol.schedule).as_dict()}
     if spec is not None:
         payload["support"] = dataclasses.asdict(spec)
-        payload["original_support_metrics"] = denormalize_solution(sol, spec).metrics().as_dict()
+        payload["original_support_metrics"] = DenormalizedSolution(spec, sol).metrics().as_dict()
     if args.mc:
         est = monte_carlo_metrics(sol, n=args.mc, seed=args.seed)
         payload["monte_carlo"] = {"n": est.n, "seed": est.seed, **_intervals(est)}

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .penalties import Penalty
-from .schedules import EDGE_TOL, ORDER_TOL, DemandSchedule
+from .penalties import Penalty, _extremes
+from .schedules import EDGE_TOL, ORDER_TOL, DemandSchedule, rows_with_jumps
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +54,8 @@ class _Arc(NamedTuple):
     @classmethod
     def of(cls, a, b, c0, c1, c2, jump):
         q = c2 + 0.5
+        if q < 0.0:  # h concave: only the ends can win, as on its chord
+            c0, c1, c2, q = c0 - q * a * b, c1 + q * (a + b), -0.5, 0.0
         return cls(a, b, c0, c1, c2, jump, q, c1 + 2.0 * q * a, c1 + 2.0 * q * b)
 
     def C(self, x):
@@ -198,19 +200,9 @@ class PriceFunction:
     def __init__(self, schedule: DemandSchedule):
         self.schedule = schedule
 
-    @property
-    def x_max(self) -> float:
-        return self.schedule.x_max
-
-    def __call__(self, d):
-        return self.evaluate(d)
-
-    def evaluate(self, d):
-        lo, hi = self.interval(d)
-        return 0.5 * (lo + hi)
-
-    def evaluate_limit(self, d, side: str):
-        """One-sided limit of the price at d, elementwise; ``side`` is '-' or '+'."""
+    def evaluate(self, d, side=None):
+        """The price at d, elementwise; with ``side`` '-' or '+' its one-sided
+        limit there (see ``interval``)."""
         lo, hi = self.interval(d, side)
         return 0.5 * (lo + hi)
 
@@ -225,7 +217,7 @@ class PriceFunction:
         d = +-(1 + x_max) the argument that meets the edge is set to it."""
         shape = np.shape(d)
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        xm = self.x_max
+        xm = self.schedule.x_max
         y1, y2 = d - 1.0, d + 1.0
         y1[d == 1.0 + xm] = xm
         y2[d == -1.0 - xm] = -xm
@@ -274,27 +266,9 @@ class PriceFunction:
     def sample_rows(self, n: int = 1001):
         """(d, P(d)) rows on a uniform grid over the full pricing domain,
         with duplicated rows at price jumps."""
-        if n < 2:
-            raise DomainError("need at least 2 sample points")
-        xm = self.x_max
-        lo, hi = -(1.0 + xm) - 0.25, 1.0 + xm + 0.25
-        grid = np.linspace(lo, hi, n)
+        top = 1.0 + self.schedule.x_max + 0.25
         jumps = self.jump_points()
-        ds = np.concatenate((grid, jumps, jumps))
-        ps = np.concatenate(
-            (self.evaluate(grid), self.evaluate_limit(jumps, "-"), self.evaluate_limit(jumps, "+"))
-        )
-        rows = list(zip(ds.tolist(), ps.tolist()))
-        rows.sort()
-        return rows
-
-
-def price_function(schedule: DemandSchedule) -> PriceFunction:
-    return PriceFunction(schedule)
-
-
-def expected_price(price: PriceFunction, x: float) -> float:
-    return price.expected_price(x)
+        return rows_with_jumps(self.evaluate, -top, top, n, jumps, self.evaluate(jumps, "-"), self.evaluate(jumps, "+"))
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +316,8 @@ def verify_equilibrium(
     """Three independent equilibrium checks.
 
     (a) the expected price of an order x is x/2; (b) the schedule maximises
-    the reduced profit pointwise; (c) the market maker breaks even on every
+    the reduced profit at random fundamentals, against the exact best order
+    read off the penalty's pieces; (c) the market maker breaks even on every
     slice of the order flow (Monte Carlo).
     """
     rng = np.random.default_rng(seed)
@@ -352,14 +327,13 @@ def verify_equilibrium(
     linear_ok = err <= tol
 
     vs = rng.uniform(0.0, 1.0, probes)
-    grid = np.linspace(0.0, 1.0, 2001)
-    extra = np.asarray([b for b in sol.penalty.breakpoints()], dtype=float)
-    grid = np.unique(np.concatenate([grid, extra])) if len(extra) else grid
-    opt_gap = 0.0
-    for v in vs:
-        achieved = psi(sol.penalty, sol.schedule.evaluate(v), v)
-        best = float(np.max(psi(sol.penalty, grid, v)))
-        opt_gap = max(opt_gap, best - achieved)
+    # the best profit at each v, exactly: on a piece it is the quadratic
+    # x(v - c1) - c0 - (c2 + 1/2) x^2, largest at an end or the clipped vertex
+    a, b, c0, c1, c2, _ = np.asarray(sol.penalty.pieces(), dtype=float).T
+    best = np.max(_extremes(a, b, -c0, vs[:, None] - c1, -0.5 - c2), axis=(0, 2))
+    best = np.maximum(best, 0.0)  # the order x = 0 earns 0
+    achieved = psi(sol.penalty, sol.schedule.evaluate(vs), vs)
+    opt_gap = max(float(np.max(best - achieved)), 0.0)
     opt_ok = opt_gap <= tol
 
     v = rng.uniform(-1.0, 1.0, mc_samples)

@@ -43,6 +43,7 @@ from .penalties import Penalty
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _BLOCK = 32  # kernel rows per block; one block of the default extended price kernel is 410 kB
+_TIE_TOL = 1e-9  # best-response candidates this close to the best tie
 
 
 def _normal_pdf(t):
@@ -188,9 +189,7 @@ def expected_price_gaussian(P: np.ndarray, grid: GaussianGrid) -> np.ndarray:
     return np.convolve(P, wphi[::-1], "valid")
 
 
-def gaussian_best_response(
-    P: np.ndarray, penalty: Penalty, grid: GaussianGrid, tie_tol: float = 1e-9
-) -> np.ndarray:
+def gaussian_best_response(P: np.ndarray, penalty: Penalty, grid: GaussianGrid) -> np.ndarray:
     """Per-v maximiser of x(v - Phat(x)) - C(x) on the x-grid, exact for the
     Phat that ``np.interp`` reads off the grid; ties go to the smaller |x|.
 
@@ -199,7 +198,7 @@ def gaussian_best_response(
     objective is x(v + b_k - q_k x) - c0_k, greatest at the vertex clipped to
     the cell when q_k > 0 and at the right end otherwise (cell 0 is x = 0).
     Of the best cell maximum, 0 and the breakpoints, the smallest x within
-    ``tie_tol`` of the best wins.
+    ``_TIE_TOL`` of the best wins.
 
     The response is to the odd part of ``P``, so it is odd.  Phat is then
     odd and C even, and for v >= 0 the objective gains 2xv from -x to x; so
@@ -225,7 +224,7 @@ def gaussian_best_response(
         top[rows] = vals[np.arange(len(vals)), k[rows]]
     nodes = np.searchsorted(xn, (0.0, *penalty.breakpoints()))
     at_nodes = xn[nodes] * (np.add.outer(v, b[nodes]) - q[nodes] * xn[nodes]) - c0[nodes]
-    tied = np.where(at_nodes >= top[:, None] - tie_tol, xn[nodes], np.inf).min(axis=1)
+    tied = np.where(at_nodes >= top[:, None] - _TIE_TOL, xn[nodes], np.inf).min(axis=1)
     X_pos = np.minimum(np.clip((v + b[k]) * half_inv_q[k], first[k], xn[k]), tied)
     return np.concatenate((-X_pos[:0:-1], X_pos))
 

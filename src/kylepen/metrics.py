@@ -59,11 +59,6 @@ def compute_metrics(schedule: DemandSchedule) -> Metrics:
     return Metrics(G=-abs_g, S=s, Pi_N=pi_n, F=abs_g - pi_n)
 
 
-def pointwise_net_profit(schedule: DemandSchedule, v: float) -> float:
-    """Insider's net profit at fundamental v, the integral of X from 0 to v."""
-    return schedule.integral_upto(v)
-
-
 # ----------------------------------------------------------------------
 # Monte Carlo cross-checks
 # ----------------------------------------------------------------------
@@ -174,9 +169,6 @@ class RepartitionTransform:
 
     def evaluate(self, z):
         return self._phi.value(np.maximum(z, 0.0))
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
     def integral(self) -> float:
         """Exact integral of phi over [0, max z]."""

@@ -101,14 +101,18 @@ class Penalty:
         The divisor a*sigma is the factor by which the insider's objective
         rescales under the change of variables, so the normalized game has
         the same argmax structure as the original one.  The result is built
-        by ``penalty_from_json``, so a parameter that rescales to a
-        non-finite number is refused like one read from JSON.
+        by ``penalty_from_json``, whose checks refuse a parameter that
+        rescales to a non-finite number.
         """
         rescale = _KINDS[self.kind][1]
         if None in rescale.values():
             raise DomainError("penalty kind has no defined meaning on general supports")
         params = self.to_json()
-        return penalty_from_json({"kind": self.kind, **{key: f(params[key], a, sigma) for key, f in rescale.items()}})
+        scaled = {"kind": self.kind, **{key: f(params[key], a, sigma) for key, f in rescale.items()}}
+        try:
+            return penalty_from_json(scaled)
+        except DomainError:
+            raise DomainError("penalty does not rescale to a finite one on this support") from None
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_json()})"

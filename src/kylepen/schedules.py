@@ -9,6 +9,8 @@ oddness.  One evaluator and one running-integral table serve both.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError
@@ -17,6 +19,17 @@ from .errors import DomainError
 EDGE_TOL = 1e-12  # a quantity this far past a bound it should meet is on it
 ORDER_TOL = 1e-15  # values this far out of order, or below zero, are in order
 _LARGEST = np.finfo(float).max
+
+
+def rows_with_jumps(f, lo, hi, n, at, below, above):
+    """(t, f(t)) rows on n uniform points of [lo, hi], and two rows at each
+    jump t in ``at``, with the one-sided values ``below`` and ``above``;
+    sorted, so that plots render verticals faithfully."""
+    if n < 2:
+        raise DomainError("need at least 2 sample points")
+    grid = np.linspace(lo, hi, n)
+    ts, fs = np.concatenate((grid, at, at)), np.concatenate((f(grid), below, above))
+    return sorted(zip(ts.tolist(), fs.tolist()))
 
 
 class OddMap:
@@ -30,23 +43,28 @@ class OddMap:
 
     def __init__(self, nodes, left, right):
         self.nodes, self.left, self.right = nodes, left, right
-        self._width_rise = None
-        self._cum = None
 
+    @cached_property
     def _slopes(self):
         """(width, rise) of every segment, built on the first query.  One
         more segment past the last node is infinitely wide and flat, so the
         map stays at right[-1] there without a case of its own."""
-        if self._width_rise is None:
-            width = np.append(np.diff(self.nodes), np.inf)
-            rise = np.append(self.left[1:] - self.right[:-1], 0.0)
-            self._width_rise = width, rise
-        return self._width_rise
+        width = np.append(np.diff(self.nodes), np.inf)
+        return width, np.append(self.left[1:] - self.right[:-1], 0.0)
+
+    @cached_property
+    def _cum(self):
+        """Running integral over whole segments.  A whole segment adds the
+        partial term of ``integral`` taken at its right end, so the table
+        holds the same sums a segment-by-segment walk would add."""
+        width, rise = self._slopes
+        r = self.right[:-1]
+        return np.concatenate(([0.0], np.cumsum(width[:-1] * 0.5 * (r + (rise[:-1] + r)))))
 
     def _locate(self, a):
         """Segment k (node k is the last one <= a), the offset a - nodes[k]
         and the linear value there, for an array a >= 0 that it may clamp."""
-        width, rise = self._slopes()
+        width, rise = self._slopes
         np.minimum(a, _LARGEST, out=a)  # an infinite argument lies in the tail too
         k = np.searchsorted(self.nodes, a, side="right")
         k -= 1
@@ -73,18 +91,8 @@ class OddMap:
 
     def integral(self, t):
         """Exact integral of the map over [0, |t|], elementwise; the map is
-        odd, so this antiderivative is even.
-
-        The first call builds a running table of whole-segment integrals in
-        O(n); each query then costs one search.  A whole segment adds the
-        partial term below taken at its right end, so the table holds the
-        same sums a segment-by-segment walk would add.
-        """
-        if self._cum is None:
-            width, rise = self._slopes()
-            r = self.right[:-1]
-            whole = width[:-1] * 0.5 * (r + (rise[:-1] + r))
-            self._cum = np.concatenate(([0.0], np.cumsum(whole)))
+        odd, so this antiderivative is even.  The first call builds the
+        running table ``_cum`` in O(n); each query then costs one search."""
         shape = np.shape(t)
         k, off, val = self._locate(np.abs(np.atleast_1d(np.asarray(t, dtype=float))))
         out = self._cum[k] + off * 0.5 * (self.right[k] + val)
@@ -127,7 +135,6 @@ class DemandSchedule(OddMap):
         # value at v = 1 is the left-continuous one
         right[-1] = left[-1]
         super().__init__(nodes, left, right)
-        self._inverse = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -163,9 +170,6 @@ class DemandSchedule(OddMap):
         """X(1), the largest equilibrium order."""
         return float(self.left[-1])
 
-    def __call__(self, v):
-        return self.evaluate(v)
-
     def evaluate(self, v):
         if np.any(np.abs(v) > 1.0 + EDGE_TOL):
             raise DomainError("schedule argument outside [-1, 1]")
@@ -174,7 +178,7 @@ class DemandSchedule(OddMap):
     # ------------------------------------------------------------------
     # generalized inverses
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def inverse(self) -> OddMap:
         """The generalized inverse as an OddMap on [0, x_max].
 
@@ -182,15 +186,13 @@ class DemandSchedule(OddMap):
         value sup{v : X(v) <= x}; past x_max it stays at 1.  The levels are
         the one-sided values of X in order, each node's left then right one.
         """
-        if self._inverse is None:
-            levels = np.maximum.accumulate(np.column_stack((self.left, self.right)).ravel())
-            v = np.repeat(self.nodes, 2)
-            new = np.flatnonzero(np.diff(levels)) + 1  # where a higher level starts
-            first, last = np.r_[0, new], np.r_[new - 1, len(levels) - 1]
-            lo, hi = v[first], v[last]
-            lo[0] = -hi[0]  # oddness at x = 0
-            self._inverse = OddMap(levels[first], lo, hi)
-        return self._inverse
+        levels = np.maximum.accumulate(np.column_stack((self.left, self.right)).ravel())
+        v = np.repeat(self.nodes, 2)
+        new = np.flatnonzero(np.diff(levels)) + 1  # where a higher level starts
+        first, last = np.r_[0, new], np.r_[new - 1, len(levels) - 1]
+        lo, hi = v[first], v[last]
+        lo[0] = -hi[0]  # oddness at x = 0
+        return OddMap(levels[first], lo, hi)
 
     def inverse_limit(self, x, side: str):
         """One-sided limit of the (a.e.-common) inverse at x; side is '-' or
@@ -228,19 +230,12 @@ class DemandSchedule(OddMap):
     # emission
     # ------------------------------------------------------------------
     def sample_rows(self, n: int = 1001):
-        """(v, X(v)) rows on a uniform grid with duplicated rows at jumps so
-        that plots render verticals faithfully."""
-        if n < 2:
-            raise DomainError("need at least 2 sample points")
-        grid = np.linspace(-1.0, 1.0, n)
+        """(v, X(v)) rows on a uniform grid with duplicated rows at jumps."""
         jump = self.right > self.left
         v, lo, hi = self.nodes[jump], self.left[jump], self.right[jump]
         pos = v > 0.0  # a jump at the origin has no mirror image
-        vs = np.concatenate((grid, v, v, -v[pos], -v[pos]))
-        xs = np.concatenate((self.evaluate(grid), lo, hi, -lo[pos], -hi[pos]))
-        rows = list(zip(vs.tolist(), xs.tolist()))
-        rows.sort()
-        return rows
+        below, above = np.concatenate((lo, -hi[pos])), np.concatenate((hi, -lo[pos]))
+        return rows_with_jumps(self.evaluate, -1.0, 1.0, n, np.concatenate((v, -v[pos])), below, above)
 
     def __repr__(self):
         return f"DemandSchedule(nodes={self.nodes!r}, x_max={self.x_max:.6g})"

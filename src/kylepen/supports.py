@@ -92,10 +92,6 @@ class DenormalizedSolution:
         )
 
 
-def denormalize_solution(sol0, spec: SupportSpec) -> DenormalizedSolution:
-    return DenormalizedSolution(spec=spec, base=sol0)
-
-
 def threshold_cutoffs(K: float, spec: SupportSpec):
     """No-trade band endpoints on the original fundamental support for a
     constant penalty of level K: m +- sqrt((c - b) K / a)."""

@@ -186,11 +186,11 @@ def reference_integral_upto(X, v):
     return total
 
 
-def reference_evaluate_limit(P, d, side):
+def reference_one_sided_price(P, d, side):
     """One-sided limit of the price at a scalar d, saturating case by case.
     A jump point d = +-x +- 1 stands for a jump x of the inverse, and there
     the inverse is read at +-x itself, which d -+ 1 would round off."""
-    xm = P.x_max
+    xm = P.schedule.x_max
     if d > 1.0 + xm or (d == 1.0 + xm and side == "+"):
         return 1.0
     if d < -(1.0 + xm) or (d == -(1.0 + xm) and side == "-"):
@@ -249,7 +249,7 @@ def reference_inverse_integral(X, p, q):
 def reference_expected_price(P, x):
     """E[P(x + u)] at a scalar x by the saturated-tail case list: the tails
     of P past +-(1 + x_max), then each inverse term clamped at +-x_max."""
-    xm = P.x_max
+    xm = P.schedule.x_max
     X = P.schedule
     a, b = x - 1.0, x + 1.0
     total = 0.0
@@ -364,9 +364,10 @@ def reference_gaussian_objective(P, penalty, grid):
     return lambda xq, vq: xq * (vq - np.interp(xq, grid.points, phat)) - value_extended(penalty, xq)
 
 
-def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol=1e-9):
+def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9):
     """Gaussian best response on the full v-by-x grid: dense argmax, golden
-    refinement, then the smallest |x| among candidates within tie_tol."""
+    refinement, then the smallest |x| among candidates within 1e-9 of the
+    best, the library's tie tolerance."""
     objective = reference_gaussian_objective(P, penalty, grid)
     phat = reference_expected_price_gaussian(P, grid)
     v = x = grid.points
@@ -388,7 +389,7 @@ def reference_gaussian_best_response(P, penalty, grid, bracket_tol=1e-9, tie_tol
         cands += [np.full_like(v, b), np.full_like(v, -b)]
     xc = np.stack(cands)
     vals = np.stack([objective(c, v) for c in cands])
-    eligible = vals >= vals.max(axis=0) - tie_tol
+    eligible = vals >= vals.max(axis=0) - 1e-9
     pick = np.argmin(np.where(eligible, np.abs(xc), np.inf), axis=0)
     return xc[pick, np.arange(grid.n)]
 

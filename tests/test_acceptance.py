@@ -41,7 +41,7 @@ def test_acceptance_2_expected_price_halving():
     worst = 0.0
     for _ in range(100):
         X = random_schedule(rng)
-        P = kp.price_function(X)
+        P = kp.PriceFunction(X)
         xm = X.x_max
         probes = rng.uniform(-xm, xm, 50) if xm > 0 else np.zeros(50)
         for x in probes:
@@ -230,9 +230,9 @@ def test_acceptance_11_support_round_trip():
         c = b + float(rng.uniform(0.5, 4.0))
         spec = kp.SupportSpec(a, b, c)
         K = float(rng.uniform(0.02, 0.22)) * (a * spec.sigma)
-        den = kp.denormalize_solution(
-            kp.solve_equilibrium(kp.normalize_penalty(kp.ConstantNonzeroPenalty(K), spec)),
+        den = kp.DenormalizedSolution(
             spec,
+            kp.solve_equilibrium(kp.normalize_penalty(kp.ConstantNonzeroPenalty(K), spec)),
         )
         lo_f, hi_f = kp.threshold_cutoffs(K, spec)
         # locate the trade cutoff of the mapped schedule by bisection
@@ -256,7 +256,7 @@ def test_acceptance_11_support_round_trip():
         for p in pens:
             sol = kp.solve_equilibrium(kp.normalize_penalty(p, spec))
             normalized.append(kp.compute_metrics(sol.schedule))
-            original.append(kp.denormalize_solution(sol, spec).metrics())
+            original.append(kp.DenormalizedSolution(spec, sol).metrics())
         for attr in ("G", "S", "F"):
             dn = getattr(normalized[0], attr) - getattr(normalized[1], attr)
             do = getattr(original[0], attr) - getattr(original[1], attr)

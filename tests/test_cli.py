@@ -1,13 +1,18 @@
 """Command-line interface: outputs, exit codes and determinism."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kylepen
+import kylepen.cli
 from kylepen.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
+ROOT = Path(__file__).resolve().parent.parent
 QUAD = '{"kind": "quadratic", "alpha": 0.125}'
 # Admissible on [0, 1], but not on [0, 2], which --support 2,-1,1 rescales onto it.
 NEGATIVE_PAST_1 = '{"kind": "tabulated", "points": [[0, 0, false], [1, 0.3, false], [1.5, -0.5, false]]}'
@@ -197,6 +202,8 @@ def test_bad_numeric_input_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "concatenate" not in err
+    if argv == EXTREME_SUPPORTS[2]:  # support-rescale-overflows
+        assert err == "error: penalty does not rescale to a finite one on this support\n"
 
 
 @pytest.mark.parametrize("argv", EXTREME_SUPPORTS, ids=["a-sigma", "width", "rescale", "midpoint"])
@@ -322,3 +329,18 @@ def test_figures_smoke(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*FIGURE_FILES, "manifest.json"])
     for name, files in FIGURE_FILES.items():
         assert sorted(p.name for p in (tmp_path / name).iterdir()) == sorted([*files, "manifest.json"])
+
+
+def test_the_names_the_benchmark_wraps_exist():
+    """perfbench's tracer wraps these kylepen.cli globals and methods; a
+    deletion that removes one must fail here, not only under --trace 1."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for attr, _ in tracing.CLI_CALLS:
+        assert callable(getattr(kylepen.cli, attr)), attr
+    for cls, method, _, _ in tracing.METHOD_CALLS:
+        assert cls in ("PriceFunction", "DemandSchedule")
+        assert callable(getattr(getattr(kylepen, cls), method)), (cls, method)
+    for name in kylepen.__all__:
+        assert hasattr(kylepen, name), name

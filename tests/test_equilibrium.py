@@ -11,19 +11,20 @@ from conftest import (
     random_schedule,
     random_tabulated_penalty,
     reference_break_even,
-    reference_evaluate_limit,
     reference_expected_price,
     reference_inverse_pieces,
     reference_jump_points,
+    reference_one_sided_price,
 )
 
 
-def brute_force_demand(penalty, v, n_x=100_001, tie_tol=1e-12):
-    """Independent argmax oracle: dense grid, ties to the smaller order."""
+def brute_force_demand(penalty, v, n_x=100_001):
+    """Independent argmax oracle: dense grid, ties (within 1e-12) to the
+    smaller order."""
     xg = np.linspace(0.0, 1.0, n_x)
     vals = xg * (v - 0.5 * xg) - penalty.value(xg)
     top = vals.max()
-    return float(xg[np.nonzero(vals >= top - tie_tol)[0][0]])
+    return float(xg[np.nonzero(vals >= top - 1e-12)[0][0]])
 
 
 def closed_form_schedule(penalty):
@@ -234,11 +235,55 @@ def test_exact_solver_on_random_tabulated_penalties(rng):
             assert abs(P.expected_price(x) - 0.5 * x) < 1e-10
 
 
+class RowPenalty(kp.Penalty):
+    """A penalty given by its rows directly, for shapes no JSON kind has."""
+
+    kind = "rows"
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def _rows(self):
+        return self.rows
+
+
+def random_concave_rows(rng):
+    """Admissible rows on [0, 1] with random cuts, non-decreasing pieces and
+    upward jumps at some joints; the first piece, and about half the others,
+    has c2 < -1/2, so that x^2/2 + C is concave there."""
+    edges = [0.0, *np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 4))).tolist(), 1.0]
+    rows, end = [], 0.0
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        c2 = -rng.uniform(0.5, 3.0) if k == 0 or rng.uniform() < 0.5 else rng.uniform(-0.5, 1.0)
+        c1 = rng.uniform(0.0, 1.0) - 2.0 * c2 * (b if c2 < 0.0 else a)  # C' >= 0 on [a, b]
+        jump = rng.uniform(0.0, 0.2) if rng.uniform() < 0.5 else 0.0
+        c0 = end + jump - a * (c1 + a * c2)  # C(a+) = C(a) + jump
+        rows.append((a, b, c0, c1, c2, jump > 0.0))
+        end = c0 + b * (c1 + b * c2)
+    return rows + [(1.0, np.inf, end, 0.0, 0.0, False)]
+
+
+def test_exact_solver_on_concave_pieces(rng):
+    """Where x^2/2 + C is concave on a piece, only the piece's ends can be
+    best; the solved demand earns what a dense grid's best order earns."""
+    example = [(0.0, 0.5, 0.0, 1.0, -1.0, False), (0.5, np.inf, 0.25, 0.0, 0.0, False)]  # C = x - x^2, then flat
+    xg = np.linspace(0.0, 1.0, 20_001)
+    for rows in [example] + [random_concave_rows(rng) for _ in range(300)]:
+        pen = RowPenalty(rows)
+        assert kp.validate(pen).ok
+        X = solve_demand(pen)
+        grid = np.union1d(xg, pen.breakpoints())
+        vs = np.concatenate((rng.uniform(0.0, 1.0, 16), [1.0]))
+        best = np.max(grid * (vs[:, None] - 0.5 * grid) - pen.value(grid), axis=1)
+        achieved = psi(pen, X.evaluate(vs), vs)
+        assert np.max(best - achieved) < 1e-12, rows
+
+
 # ----------------------------------------------------------------------
 # pricing
 # ----------------------------------------------------------------------
 def test_identity_price():
-    P = kp.price_function(kp.DemandSchedule.identity())
+    P = kp.PriceFunction(kp.DemandSchedule.identity())
     assert P.evaluate(0.5) == pytest.approx(0.25)
     assert P.evaluate(0.0) == 0.0
     assert P.evaluate(2.5) == 1.0  # saturated outside the flow range
@@ -246,7 +291,7 @@ def test_identity_price():
 
 def test_threshold_price_at_jump_flow():
     X = kp.DemandSchedule.step_mimic(np.sqrt(0.4))
-    P = kp.price_function(X)
+    P = kp.PriceFunction(X)
     # at d = 1.05 the left inverse lands on the cutoff, the right end caps at 1
     expected = 0.5 * (np.sqrt(0.4) + 1.0)
     assert P.evaluate(1.05) == pytest.approx(expected)
@@ -255,7 +300,7 @@ def test_threshold_price_at_jump_flow():
 def test_price_is_odd_and_monotone(rng):
     for _ in range(20):
         X = random_schedule(rng)
-        P = kp.price_function(X)
+        P = kp.PriceFunction(X)
         d = np.linspace(-(1 + X.x_max) - 0.5, (1 + X.x_max) + 0.5, 301)
         vals = P.evaluate(d)
         assert np.allclose(vals, -P.evaluate(-d), atol=1e-14)
@@ -264,10 +309,10 @@ def test_price_is_odd_and_monotone(rng):
 
 
 def test_expected_price_examples():
-    P = kp.price_function(kp.DemandSchedule.step_mimic(np.sqrt(0.4)))
+    P = kp.PriceFunction(kp.DemandSchedule.step_mimic(np.sqrt(0.4)))
     assert P.expected_price(0.0) == pytest.approx(0.0, abs=1e-14)
     assert P.expected_price(0.5) == pytest.approx(0.25, abs=1e-12)
-    Pid = kp.price_function(kp.DemandSchedule.identity())
+    Pid = kp.PriceFunction(kp.DemandSchedule.identity())
     assert Pid.expected_price(1.0) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -275,7 +320,7 @@ def test_expected_price_linear_on_random_schedules(rng):
     # the linear expected-price law holds for every admissible schedule
     for _ in range(30):
         X = random_schedule(rng)
-        P = kp.price_function(X)
+        P = kp.PriceFunction(X)
         xm = X.x_max
         for x in rng.uniform(-xm, xm, 10) if xm > 0 else [0.0]:
             assert abs(P.expected_price(x) - 0.5 * x) < 1e-10
@@ -284,11 +329,11 @@ def test_expected_price_linear_on_random_schedules(rng):
 def test_price_jump_where_demand_is_flat():
     # a flat section of X at level c makes P jump at d = c - 1 and c + 1
     c = np.sqrt(0.4)
-    P = kp.price_function(kp.DemandSchedule.step_mimic(c))
+    P = kp.PriceFunction(kp.DemandSchedule.step_mimic(c))
     jumps = P.jump_points()
     assert any(abs(j - 1.0) < 1e-12 for j in jumps)
-    lo = P.evaluate_limit(1.0, "-")
-    hi = P.evaluate_limit(1.0, "+")
+    lo = P.evaluate(1.0, "-")
+    hi = P.evaluate(1.0, "+")
     assert hi - lo > 0.1
 
 
@@ -311,14 +356,14 @@ def test_price_limits_jump_by_half_the_inverse_jump(large_schedules):
         levels, sizes = np.array(levels), np.array(sizes)
         d = P.jump_points()
         k = np.abs(levels[None, :] - np.abs(np.abs(d) - 1.0)[:, None]).argmin(axis=1)
-        gap = P.evaluate_limit(d, "+") - P.evaluate_limit(d, "-")
+        gap = P.evaluate(d, "+") - P.evaluate(d, "-")
         assert np.all(sizes[k] > 0.0)
         assert np.all(np.abs(gap - 0.5 * sizes[k]) <= 2.0 * eps)
-    P = kp.price_function(schedules[0])
+    P = kp.PriceFunction(schedules[0])
     d = P.jump_points()
     assert d.tolist() == [-1.1, -0.9, 0.9, 1.1]
-    assert np.allclose(P.evaluate_limit(d, "-"), [-0.8662277660168379, -0.45, 0.1337722339831621, 0.55])
-    assert np.allclose(P.evaluate_limit(d, "+"), [-0.55, -0.1337722339831621, 0.45, 0.8662277660168379])
+    assert np.allclose(P.evaluate(d, "-"), [-0.8662277660168379, -0.45, 0.1337722339831621, 0.55])
+    assert np.allclose(P.evaluate(d, "+"), [-0.55, -0.1337722339831621, 0.45, 0.8662277660168379])
 
 # ----------------------------------------------------------------------
 # orchestration and verification
@@ -362,10 +407,28 @@ def test_verify_detects_perturbed_schedule():
         [0.0, 0.5, 0.7, 1.0],
     )
     sol_bad = kp.EquilibriumSolution(
-        kp.ZeroPenalty(), bad, kp.price_function(bad), {}
+        kp.ZeroPenalty(), bad, kp.PriceFunction(bad), {}
     )
     report = kp.verify_equilibrium(sol_bad, seed=3)
     assert not report.optimality
+
+
+def test_verify_optimality_is_exact_between_grid_points():
+    """A quadratic schedule scaled 3e-4 too steep loses (3e-4 v)^2 at v: at
+    the one probe of seed 35 (v = 0.4585) that is 1.9e-8, above the 1e-8
+    tolerance, yet less than a 2,001-point grid's best order loses, since
+    the true argmax falls 2.5e-4 from the nearest grid point."""
+    pen = kp.QuadraticPenalty(0.5)  # X = v/2
+    X = kp.DemandSchedule.proportional(0.5 + 3e-4)
+    sol = kp.EquilibriumSolution(pen, X, kp.PriceFunction(X), {})
+    report = kp.verify_equilibrium(sol, probes=1, seed=35, mc_samples=20_000)
+    rng = np.random.default_rng(35)
+    rng.uniform(-1.0, 1.0, 1)
+    v = float(rng.uniform(0.0, 1.0, 1)[0])
+    grid = np.linspace(0.0, 1.0, 2001)
+    assert np.max(psi(pen, grid, v)) - psi(pen, X.evaluate(v), v) <= 1e-8  # the grid probe passes
+    assert not report.optimality
+    assert report.details["optimality_gap"] == pytest.approx((3e-4 * v) ** 2, rel=1e-6)
 
 
 def test_psi_zero_at_zero_order(rng):
@@ -379,10 +442,10 @@ def test_psi_zero_at_zero_order(rng):
 # ----------------------------------------------------------------------
 def reference_price_rows(P, n):
     """Rows built point by point with scalar evaluate."""
-    xm = P.x_max
+    xm = P.schedule.x_max
     rows = [(d, P.evaluate(d)) for d in np.linspace(-(1.0 + xm) - 0.25, 1.0 + xm + 0.25, n)]
     for d in P.jump_points():
-        rows += [(d, P.evaluate_limit(d, "-")), (d, P.evaluate_limit(d, "+"))]
+        rows += [(d, P.evaluate(d, "-")), (d, P.evaluate(d, "+"))]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -409,18 +472,18 @@ def test_price_limits_and_jumps_match_scalar_reference(rng, large_schedules):
         P = kp.PriceFunction(X)
         jumps = P.jump_points()
         assert np.array_equal(jumps, reference_jump_points(P))
-        xm = P.x_max
+        xm = P.schedule.x_max
         ds = np.concatenate([jumps[:: max(1, len(jumps) // 80)], rng.uniform(-2.5, 2.5, 60)])
         nodes = X.inverse.nodes
         at_node = np.isin(np.abs(ds - 1.0), nodes) | np.isin(np.abs(ds + 1.0), nodes) | np.isin(ds, jumps)
         for side in ("-", "+"):
-            new = P.evaluate_limit(ds, side)
-            ref = np.array([reference_evaluate_limit(P, d, side) for d in ds])
+            new = P.evaluate(ds, side)
+            ref = np.array([reference_one_sided_price(P, d, side) for d in ds])
             edge = np.abs(ds) == 1.0 + xm
             assert np.all((new == ref) | (at_node & (np.abs(new - ref) <= 2.0 * eps)) | edge)
         top = X.inverse_left(xm)
-        assert P.evaluate_limit([1.0 + xm, -1.0 - xm], "+").tolist() == [1.0, -0.5 * (top + 1.0)]
-        assert P.evaluate_limit([1.0 + xm, -1.0 - xm], "-").tolist() == [0.5 * (top + 1.0), -1.0]
+        assert P.evaluate([1.0 + xm, -1.0 - xm], "+").tolist() == [1.0, -0.5 * (top + 1.0)]
+        assert P.evaluate([1.0 + xm, -1.0 - xm], "-").tolist() == [0.5 * (top + 1.0), -1.0]
         assert P.evaluate([1.0 + xm, -1.0 - xm]).tolist() == [0.5 * (top + 1.0), -0.5 * (top + 1.0)]
         assert P.evaluate([np.inf, -np.inf]).tolist() == [1.0, -1.0]
 

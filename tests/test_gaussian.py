@@ -211,7 +211,7 @@ def test_symmetric_kernels_match_the_dense_oracles(grid, monkeypatch):
             assert np.max(np.abs(phat - reference_expected_price_gaussian(Pg, grid))) <= 1e-12
 
         # the response is odd, and it may differ from the oracle's only where
-        # the oracle's objective ties the two within tie_tol
+        # the oracle's objective ties the two within the 1e-9 tie tolerance
         objective = reference_gaussian_objective(P, pen, grid)
         ref = reference_gaussian_best_response(P, pen, grid)
         new = gaussian_best_response(P, pen, grid)

@@ -60,14 +60,14 @@ def test_identity_decomposition(rng):
 
 
 # ----------------------------------------------------------------------
-# pointwise net profit
+# net profit at a fundamental
 # ----------------------------------------------------------------------
-def test_pointwise_net_profit():
+def test_net_profit_at_a_fundamental():
     X = kp.DemandSchedule.identity()
-    assert kp.pointwise_net_profit(X, 1.0) == pytest.approx(0.5)
+    assert X.integral_upto(1.0) == pytest.approx(0.5)
     XK = kp.DemandSchedule.step_mimic(np.sqrt(0.4))
-    assert kp.pointwise_net_profit(XK, np.sqrt(0.4)) == 0.0
-    assert kp.pointwise_net_profit(XK, 1.0) == pytest.approx(0.3)
+    assert XK.integral_upto(np.sqrt(0.4)) == 0.0
+    assert XK.integral_upto(1.0) == pytest.approx(0.3)
 
 
 def test_envelope_consistency():

@@ -80,6 +80,19 @@ def test_normalize_rejects_normalized_only_kinds():
         kp.normalize_penalty(kp.SurfaceOptimalPenalty(0.5, 0.75), spec)
 
 
+@pytest.mark.parametrize(
+    "penalty",
+    [kp.ConstantAbovePenalty(0.1, 0.3), kp.TabulatedPenalty([[0.0, 0.0, False], [0.5, 0.1, False]])],
+    ids=["constant-above", "tabulated"],
+)
+def test_rescaled_names_the_support_when_it_overflows(penalty):
+    """a*sigma = 1e-320 sends every positive level to inf; the error says
+    so, not that a parameter the user never wrote is infinite."""
+    with pytest.raises(DomainError) as err:
+        kp.normalize_penalty(penalty, kp.SupportSpec(1e-320, -1.0, 1.0))
+    assert str(err.value) == "penalty does not rescale to a finite one on this support"
+
+
 def test_cutoffs_formula():
     spec = kp.SupportSpec(2.0, 0.0, 4.0)
     lo, hi = kp.threshold_cutoffs(0.4, spec)
@@ -97,7 +110,7 @@ def test_solved_cutoffs_match_formula(rng):
         sol0 = kp.solve_equilibrium(
             kp.normalize_penalty(kp.ConstantNonzeroPenalty(K), spec)
         )
-        den = kp.denormalize_solution(sol0, spec)
+        den = kp.DenormalizedSolution(spec, sol0)
         lo, hi = kp.threshold_cutoffs(K, spec)
         eps = 1e-9 * max(1.0, abs(hi))
         assert abs(den.demand(hi - eps)) < 1e-10
@@ -107,7 +120,7 @@ def test_solved_cutoffs_match_formula(rng):
 def test_mimicking_map():
     spec = kp.SupportSpec(2.0, 0.0, 4.0)
     sol0 = kp.solve_equilibrium(kp.ZeroPenalty())
-    den = kp.denormalize_solution(sol0, spec)
+    den = kp.DenormalizedSolution(spec, sol0)
     vs = np.linspace(0.0, 4.0, 41)
     assert np.allclose([den.demand(v) for v in vs], vs - 2.0, atol=1e-12)
 
@@ -118,7 +131,7 @@ def test_round_trip_on_probe_grid(rng):
     spec = kp.SupportSpec(1.5, -2.0, 1.0)
     alpha = 0.4
     pen0 = kp.normalize_penalty(kp.QuadraticPenalty(alpha), spec)
-    den = kp.denormalize_solution(kp.solve_equilibrium(pen0), spec)
+    den = kp.DenormalizedSolution(spec, kp.solve_equilibrium(pen0))
     beta0 = 1.0 / (1.0 + 2.0 * pen0.alpha)
     vs = np.linspace(-2.0, 1.0, 31)
     expect = spec.a * beta0 * spec.to_unit(vs)
@@ -139,7 +152,7 @@ def test_denormalized_price_is_the_posterior_midpoint():
         kp.ConstantAbovePenalty(0.2, 0.5),
         kp.TabulatedPenalty([[0.0, 0.0, False], [0.6, 0.1, True, 0.3], [1.5, 0.4, False]]),
     ):
-        den = kp.denormalize_solution(kp.solve_equilibrium(kp.normalize_penalty(pen, spec)), spec)
+        den = kp.DenormalizedSolution(spec, kp.solve_equilibrium(kp.normalize_penalty(pen, spec)))
         demand = den.demand(vs)
         for d in np.linspace(demand[0] - spec.a, demand[-1] + spec.a, 203)[1:-1]:
             inside = vs[np.abs(demand - d) <= spec.a]
@@ -149,7 +162,7 @@ def test_denormalized_price_is_the_posterior_midpoint():
 def test_metric_scaling():
     spec = kp.SupportSpec(2.0, 0.0, 4.0)
     sol0 = kp.solve_equilibrium(kp.ZeroPenalty())
-    den = kp.denormalize_solution(sol0, spec)
+    den = kp.DenormalizedSolution(spec, sol0)
     m0 = kp.compute_metrics(sol0.schedule)
     m = den.metrics()
     assert m.G == pytest.approx(spec.a * spec.sigma * m0.G)
@@ -164,7 +177,7 @@ def test_ranking_preservation(rng):
 
         def both(p):
             sol = kp.solve_equilibrium(kp.normalize_penalty(p, spec))
-            return kp.compute_metrics(sol.schedule), kp.denormalize_solution(sol, spec).metrics()
+            return kp.compute_metrics(sol.schedule), kp.DenormalizedSolution(spec, sol).metrics()
 
         n1, o1 = both(p1)
         n2, o2 = both(p2)
