@@ -1,7 +1,7 @@
 """Equilibria, regulator metrics and efficient frontiers for a one-period
 insider-trading game with trade penalties under uniform noise."""
 
-from .errors import DomainError, InfeasibleError, SolverError
+from .errors import DomainError, InfeasibleError
 from .penalties import (
     ConstantAbovePenalty,
     ConstantNonzeroPenalty,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "InfeasibleError",
-    "SolverError",
     "Penalty",
     "ZeroPenalty",
     "ConstantNonzeroPenalty",

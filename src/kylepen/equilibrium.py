@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -192,9 +193,10 @@ def solve_demand(penalty: Penalty) -> DemandSchedule:
 class PriceFunction:
     """Break-even price of the aggregate order flow.
 
-    On [-(1+x_max), 1+x_max] the price is the midpoint of the interval of
-    fundamentals consistent with the observed flow; beyond, it saturates at
-    the support edges +-1.
+    Every order has |X(v)| <= x_max <= 1, so a flow d > 0 never rules out
+    v = 1: the fundamentals consistent with d are [X^-1_l(d - 1), 1], and
+    their mirror [-1, X^-1_r(d + 1)] for d < 0.  The price is the midpoint;
+    past +-(1 + x_max) it saturates at the support edges +-1.
     """
 
     def __init__(self, schedule: DemandSchedule):
@@ -207,33 +209,37 @@ class PriceFunction:
         return 0.5 * (lo + hi)
 
     def interval(self, d, side=None):
-        """(X^-1(d - 1), X^-1(d + 1)) elementwise: the interval of fundamentals
-        consistent with the order flow d, whose midpoint is the price.  With
-        ``side`` None the ends are the left and the right inverse, the
-        posterior interval on which v is uniform; with '-' or '+' both ends
-        are that one-sided limit, and a jump point's are read at its exact
-        inverse node.  Past +-x_max the inverse stays at +-1, which saturates
-        the price at the support edges.  d -+ 1 rounds, so at
-        d = +-(1 + x_max) the argument that meets the edge is set to it."""
+        """(lo, hi) elementwise: the fundamentals consistent with the order
+        flow d, whose midpoint is the price; (X^-1_l(d - 1), 1) for d > 0 and
+        (-1, X^-1_r(d + 1)) otherwise, from one read of the inverse, which
+        stays at +-1 past +-x_max.  With ``side`` '-' or '+' that read is the
+        one-sided limit, '+' reads d = 0 as d > 0, and a jump point's is read
+        at its exact inverse node.  d -+ 1 rounds, so at d = +-(1 + x_max)
+        the argument that meets the edge is set to it."""
+        if side not in (None, "-", "+"):
+            raise DomainError("side must be '-' or '+'")
         shape = np.shape(d)
         d = np.atleast_1d(np.asarray(d, dtype=float))
         xm = self.schedule.x_max
-        y1, y2 = d - 1.0, d + 1.0
-        y1[d == 1.0 + xm] = xm
-        y2[d == -1.0 - xm] = -xm
+        pos = d >= 0.0 if side == "+" else d > 0.0
+        y = np.where(pos, d - 1.0, d + 1.0)
+        y[d == 1.0 + xm] = xm
+        y[d == -1.0 - xm] = -xm
         if side is not None:
-            jd, j1, j2 = self._jumps()
+            jd, j1, j2 = self._jumps
             k = np.searchsorted(jd, d)
             at = k < len(jd)
             at[at] = jd[k[at]] == d[at]
-            y1[at], y2[at] = j1[k[at]], j2[k[at]]
-        inverse = self.schedule.inverse_limit
-        side1, side2 = ("-", "+") if side is None else (side, side)
-        lo, hi = inverse(y1, side1), inverse(y2, side2)
+            y[at] = np.where(pos[at], j1[k[at]], j2[k[at]])
+        # the left limit reads right values below 0, the right limit at and above
+        left = pos if side is None else side == "-"
+        end = self.schedule.inverse.value(y, (y < 0.0) == left)
+        lo, hi = np.where(pos, end, -1.0), np.where(pos, 1.0, end)
         if shape == ():
             return float(lo[0]), float(hi[0])
         return lo.reshape(shape), hi.reshape(shape)
 
+    @cached_property
     def _jumps(self):
         """(d, y1, y2): the jump points, sorted, and for each the exact
         arguments of the inverse, one of them a jump node +-x of it."""
@@ -249,7 +255,7 @@ class PriceFunction:
         """Order-flow levels where the price may jump: d = +-x +- 1 at every
         jump x of the inverse (a flat of the demand, the no-trade band at 0
         included, or a flat at the top)."""
-        return self._jumps()[0]
+        return self._jumps[0].copy()
 
     def expected_price(self, x):
         """Average execution price of an order x against uniform noise,

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class InfeasibleError(ValueError):
     """A constraint admits no feasible point (e.g. fine floor above the global max)."""
-
-
-class SolverError(RuntimeError):
-    """An internal solver invariant was violated (indicates a bug, not bad input)."""

@@ -95,14 +95,15 @@ def _estimate(samples: np.ndarray) -> Estimate:
 def monte_carlo_metrics(sol, n: int, seed: int) -> MonteCarloMetrics:
     """Simulation-based (G, S, Pi_N, F) with 99% confidence intervals.
 
-    Given the order flow the fundamental is uniform on the posterior
-    interval of ``PriceFunction.interval``: the price is its midpoint and
-    the conditional standard deviation behind S its length over 2*sqrt(3),
-    so one interval read per draw serves both and no nested sampling layer
-    is needed.  v is the first n uniforms of ``default_rng(seed)`` and u the
-    next n, evaluated in cache-sized blocks of ``_BLOCK``; only the four
-    per-draw samples are kept whole, so a 10^6-draw call peaks at about
-    39 MiB and the estimates equal those of evaluating all draws at once.
+    Given the order flow d the fundamental is uniform on the posterior
+    interval of ``PriceFunction.interval``, [X^-1_l(d - 1), 1] for d > 0
+    and its mirror otherwise: the price is its midpoint and the conditional
+    standard deviation behind S its length over 2*sqrt(3), so one interval
+    read per draw serves both and no nested sampling layer is needed.  v is
+    the first n uniforms of ``default_rng(seed)`` and u the next n,
+    evaluated in cache-sized blocks of ``_BLOCK``; only the four per-draw
+    samples are kept whole, so a 10^6-draw call peaks at about 39 MiB and
+    the estimates equal those of evaluating all draws at once.
     """
     if n < 2:
         raise DomainError("Monte Carlo metrics need at least 2 draws")

@@ -86,7 +86,8 @@ class Penalty:
         return _on_unit(self._rows())
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Points in [0, 1) where C jumps or kinks; used to split argmax searches."""
+        """Points in [0, 1) where C jumps or kinks; the Gaussian best response
+        checks each as a tie candidate."""
         return tuple(a for a, _, _, _, _, jump in self.pieces() if a > 0.0 or jump)
 
     def to_json(self) -> dict:

@@ -194,22 +194,15 @@ class DemandSchedule(OddMap):
         lo[0] = -hi[0]  # oddness at x = 0
         return OddMap(levels[first], lo, hi)
 
-    def inverse_limit(self, x, side: str):
-        """One-sided limit of the (a.e.-common) inverse at x; side is '-' or
-        '+'.  The left inverse is the left limit and the right inverse the
-        right limit; past +-x_max the limit is +-1."""
-        if side not in ("-", "+"):
-            raise DomainError("side must be '-' or '+'")
-        x = np.asarray(x, dtype=float)
-        return self.inverse.value(x, x < 0 if side == "-" else x >= 0)
-
     def inverse_left(self, x):
         """inf{v : X(v) >= x} over the full domain [-1, 1]."""
-        return self.inverse_limit(self._inverse_arg(x), "-")
+        x = self._inverse_arg(x)
+        return self.inverse.value(x, x < 0)
 
     def inverse_right(self, x):
         """sup{v : X(v) <= x} over the full domain [-1, 1]."""
-        return self.inverse_limit(self._inverse_arg(x), "+")
+        x = self._inverse_arg(x)
+        return self.inverse.value(x, x >= 0)
 
     def _inverse_arg(self, x):
         xm = self.x_max

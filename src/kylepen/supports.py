@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .metrics import Metrics
+from .metrics import Metrics, compute_metrics
 from .penalties import Penalty
 
 
@@ -80,8 +80,6 @@ class DenormalizedSolution:
         return self.spec.from_unit(self.base.price.evaluate(np.asarray(d) / self.spec.a))
 
     def metrics(self) -> Metrics:
-        from .metrics import compute_metrics
-
         m0 = compute_metrics(self.base.schedule)
         scale = self.spec.a * self.spec.sigma
         return Metrics(

@@ -467,6 +467,7 @@ def test_price_limits_and_jumps_match_scalar_reference(rng, large_schedules):
     d -+ 1 rounds."""
     schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
     schedules.append(kp.DemandSchedule.zero())
+    schedules.append(kp.DemandSchedule([0, 0.5, 1], [0, 1, 1], [0, 1, 1]))  # flat at level 1
     eps = np.finfo(float).eps
     for X in schedules:
         P = kp.PriceFunction(X)
@@ -520,6 +521,7 @@ def test_interval_is_the_two_inverse_reads_of_the_price(rng, large_schedules):
     may round to just inside it."""
     schedules = [random_schedule(rng) for _ in range(30)] + list(large_schedules)
     schedules.append(kp.DemandSchedule.zero())
+    schedules.append(kp.DemandSchedule([0, 0.5, 1], [0, 1, 1], [0, 1, 1]))  # flat at level 1
     for X in schedules:
         P = kp.PriceFunction(X)
         xm = X.x_max
